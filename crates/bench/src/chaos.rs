@@ -350,14 +350,14 @@ pub fn print(results: &[ChaosResult]) {
             r.cell.mean_gap
         );
         println!(
-            "  {:>14}  {:>5}  {:>9}  {:>6}  {:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}",
+            "  {:>14}  {:>5}  {:>9}  {:>6}  {:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}  {:>5}",
             "policy", "done", "rejected", "miss", "jain", "lost", "trips", "recov", "degrade",
-            "verify"
+            "verify", "refs"
         );
         for p in [&r.fifo, &r.hardened] {
             let rep = &p.report;
             println!(
-                "  {:>14}  {:>5}  {:>9}  {:>6.3}  {:>6.4}  {:>5}  {:>5}  {:>8}  {:>8}  {:>5}/{}",
+                "  {:>14}  {:>5}  {:>9}  {:>6.3}  {:>6.4}  {:>5}  {:>5}  {:>8}  {:>8}  {:>5}/{}  {:>5}",
                 p.policy,
                 rep.done,
                 rep.rejected.total(),
@@ -369,6 +369,7 @@ pub fn print(results: &[ChaosResult]) {
                 rep.degraded_slices,
                 rep.verified_ok,
                 rep.verified,
+                rep.verify_reference_runs,
             );
         }
     }

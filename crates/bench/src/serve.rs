@@ -192,13 +192,14 @@ pub fn print(results: &[CellResult]) {
             r.cell.name, rep.devices, rep.submitted, r.cell.weights, r.wall_ms
         );
         println!(
-            "  done {}  preempted {} ({} slices)  verified {}/{}  fairness {:.4}  \
-             sim makespan {}  peak host {} bufs / {} KiB",
+            "  done {}  preempted {} ({} slices)  verified {}/{} ({} reference runs)  \
+             fairness {:.4}  sim makespan {}  peak host {} bufs / {} KiB",
             rep.done,
             rep.preempted,
             rep.total_slices,
             rep.verified_ok,
             rep.verified,
+            rep.verify_reference_runs,
             rep.fairness,
             rep.makespan,
             rep.peak_live_bufs,

@@ -104,18 +104,43 @@ impl JobShape {
     /// shape, same transfer footprint, same schedule), regardless of
     /// their data salts. Keys the server's admission-time cost cache.
     pub fn sig(&self) -> ShapeSig {
-        let (kind, dims) = match self {
-            JobShape::Conv3d(c) => (0u8, [c.ni as u64, c.nj as u64, c.nk as u64, 0]),
-            JobShape::Stencil(c) => (1, [c.nx as u64, c.ny as u64, c.nz as u64, 0]),
-            JobShape::Gemm(c) => (2, [c.n as u64, c.bs as u64, 0, 0]),
-            JobShape::Qcd(c) => (3, [c.n as u64, c.nt as u64, 0, 0]),
-        };
+        let (kind, dims) = self.kind_dims();
         let (chunk, streams) = self.schedule();
         ShapeSig {
             kind,
             dims,
             chunk: chunk as u64,
             streams: streams as u64,
+        }
+    }
+
+    /// The job's data identity: two jobs with equal keys get
+    /// bit-identical inputs from [`JobShape::setup`] and, run under the
+    /// same model and schedule, bit-identical outputs. Unlike
+    /// [`JobShape::sig`] it covers every field that moves those bits —
+    /// the stencil's `c0`/`c1` and the GEMM fill `salt` — and leaves
+    /// the schedule out. Keys the server's verification references.
+    pub(crate) fn data_key(&self, salt: u64) -> DataKey {
+        let (kind, dims) = self.kind_dims();
+        let (coeffs, salt) = match self {
+            JobShape::Stencil(c) => ([c.c0.to_bits(), c.c1.to_bits()], None),
+            JobShape::Gemm(_) => ([0, 0], Some(salt)),
+            JobShape::Conv3d(_) | JobShape::Qcd(_) => ([0, 0], None),
+        };
+        DataKey {
+            kind,
+            dims,
+            coeffs,
+            salt,
+        }
+    }
+
+    fn kind_dims(&self) -> (u8, [u64; 3]) {
+        match self {
+            JobShape::Conv3d(c) => (0, [c.ni as u64, c.nj as u64, c.nk as u64]),
+            JobShape::Stencil(c) => (1, [c.nx as u64, c.ny as u64, c.nz as u64]),
+            JobShape::Gemm(c) => (2, [c.n as u64, c.bs as u64, 0]),
+            JobShape::Qcd(c) => (3, [c.n as u64, c.nt as u64, 0]),
         }
     }
 
@@ -161,9 +186,27 @@ impl JobShape {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShapeSig {
     kind: u8,
-    dims: [u64; 4],
+    dims: [u64; 3],
     chunk: u64,
     streams: u64,
+}
+
+/// A job's data identity — see [`JobShape::data_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct DataKey {
+    kind: u8,
+    dims: [u64; 3],
+    coeffs: [u32; 2],
+    salt: Option<u64>,
+}
+
+impl DataKey {
+    /// Whether the job's inputs depend on its salt (GEMM). Such a key
+    /// is unique to one job, so a reference stored under it would never
+    /// be reused.
+    pub(crate) fn is_salted(&self) -> bool {
+        self.salt.is_some()
+    }
 }
 
 /// A materialized job: bound region, kernel builder, and the host
@@ -316,5 +359,120 @@ impl TenantSpec {
     pub fn best_effort(mut self) -> TenantSpec {
         self.best_effort = true;
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpsim::{DeviceProfile, ExecMode};
+    use pipeline_apps::util::read_host;
+    use pipeline_rt::{run_model, RunOptions};
+
+    fn gemm(n: usize) -> JobShape {
+        JobShape::Gemm(GemmConfig {
+            n,
+            bs: 4,
+            chunk: 1,
+            streams: 2,
+        })
+    }
+
+    fn with_schedule(mut shape: JobShape, chunk: usize, streams: usize) -> JobShape {
+        let s = (chunk, streams);
+        match &mut shape {
+            JobShape::Conv3d(c) => (c.chunk, c.streams) = s,
+            JobShape::Stencil(c) => (c.chunk, c.streams) = s,
+            JobShape::Gemm(c) => (c.chunk, c.streams) = s,
+            JobShape::Qcd(c) => (c.chunk, c.streams) = s,
+        }
+        shape
+    }
+
+    /// Every buffer `setup` fills (inputs and the zeroed output).
+    fn setup_bits(shape: &JobShape, salt: u64) -> Vec<Vec<u32>> {
+        let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional).unwrap();
+        let inst = shape.setup(&mut gpu, salt).unwrap();
+        inst.buffers
+            .iter()
+            .map(|&b| {
+                read_host(&gpu, b)
+                    .unwrap()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn output_bits(shape: &JobShape, salt: u64) -> Vec<u32> {
+        let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional).unwrap();
+        let inst = shape.setup(&mut gpu, salt).unwrap();
+        run_model(
+            &mut gpu,
+            &inst.region,
+            &*inst.builder,
+            ExecModel::PipelinedBuffer,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        read_host(&gpu, inst.output)
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn equal_data_keys_mean_identical_inputs() {
+        // The schedule is not data, and only GEMM reads its salt, so
+        // each pair below shares a key and must fill identical buffers.
+        let pairs = [
+            (JobShape::Conv3d(Conv3dConfig::test_small()), 1, 2),
+            (JobShape::Stencil(StencilConfig::test_small()), 3, 4),
+            (JobShape::Qcd(QcdConfig::test_small()), 5, 6),
+            (gemm(16), 7, 7),
+        ];
+        for (shape, salt_a, salt_b) in pairs {
+            let other = with_schedule(shape, 1, 4);
+            assert_eq!(
+                shape.data_key(salt_a),
+                other.data_key(salt_b),
+                "{}",
+                shape.name()
+            );
+            assert_eq!(
+                setup_bits(&shape, salt_a),
+                setup_bits(&other, salt_b),
+                "{}: equal keys, different inputs",
+                shape.name()
+            );
+            assert_eq!(shape.data_key(salt_a).is_salted(), shape.name() == "gemm");
+        }
+    }
+
+    #[test]
+    fn gemm_salts_give_distinct_keys_and_inputs() {
+        let shape = gemm(16);
+        assert_ne!(shape.data_key(1), shape.data_key(2));
+        assert_ne!(setup_bits(&shape, 1), setup_bits(&shape, 2));
+        // Dims still count: equal salts on different sizes differ.
+        assert_ne!(shape.data_key(1), gemm(24).data_key(1));
+    }
+
+    #[test]
+    fn stencil_coefficients_are_part_of_the_key() {
+        let base = StencilConfig::test_small();
+        let shape = JobShape::Stencil(base);
+        let c0 = JobShape::Stencil(StencilConfig { c0: 0.25, ..base });
+        let c1 = JobShape::Stencil(StencilConfig { c1: 0.2, ..base });
+        for other in [c0, c1] {
+            // Same cost identity and same inputs, different outputs:
+            // only the data key can tell these apart.
+            assert_eq!(shape.sig(), other.sig());
+            assert_ne!(shape.data_key(0), other.data_key(0));
+            assert_eq!(setup_bits(&shape, 0), setup_bits(&other, 0));
+            assert_ne!(output_bits(&shape, 0), output_bits(&other, 0));
+        }
     }
 }

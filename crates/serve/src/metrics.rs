@@ -126,11 +126,15 @@ pub struct ServeReport {
     pub devices_lost: usize,
     /// Circuit-breaker openings summed across devices.
     pub breaker_trips: u64,
-    /// Preempted or recovered jobs re-executed uninterrupted for
-    /// verification.
+    /// Preempted or recovered jobs compared bit for bit against an
+    /// uninterrupted reference run.
     pub verified: u64,
     /// How many of those verified bit-identical.
     pub verified_ok: u64,
+    /// Uninterrupted reference runs executed for verification. Jobs
+    /// sharing a data key, model and schedule share one run, so this is
+    /// at most [`ServeReport::verified`].
+    pub verify_reference_runs: u64,
     /// Jain fairness index over per-tenant `service/weight`.
     pub fairness: f64,
     /// End-to-end simulated makespan of the whole stream.

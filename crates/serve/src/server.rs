@@ -29,11 +29,23 @@
 //! re-placed on survivors by the same calibrated cost model that placed
 //! it initially. Flaky-but-alive devices are circuit-broken once their
 //! recent failure rate crosses [`BreakerConfig::threshold`], with
-//! half-open probing re-admission. Every job that was preempted *or*
-//! touched by a failure is re-executed uninterrupted on a fresh context
-//! and must match bit for bit.
+//! half-open probing re-admission.
+//!
+//! # Verification
+//!
+//! Every job that was preempted *or* touched by a failure must match,
+//! bit for bit, the output of an uninterrupted run on a fresh context.
+//! Conv3d, stencil and QCD jobs fill their inputs from fixed canonical
+//! seeds, so a stream holds few distinct references: each `serve` call
+//! memoizes them by data identity (`JobShape::data_key`), exec model
+//! and schedule, runs each one once, and compares every later job with
+//! the same key against the stored bits. Salted GEMM jobs have inputs
+//! of their own and are re-run every time.
+//! [`ServeReport::verify_reference_runs`] counts the uninterrupted runs
+//! actually executed.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use gpsim::{DeviceProfile, ExecMode, Gpu, SimError, SimTime};
@@ -46,7 +58,7 @@ use pipeline_rt::{
 use crate::admission::{RateLimit, Rejection, RejectionCounts, TokenBucket};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::fleet::{DeviceModel, Fleet};
-use crate::job::{JobInstance, JobSpec, ShapeSig, TenantSpec};
+use crate::job::{DataKey, JobInstance, JobSpec, ShapeSig, TenantSpec};
 use crate::metrics::{ServeReport, TenantStats};
 use crate::sched::{FairScheduler, QueueEntry, QueueOrder};
 
@@ -56,9 +68,10 @@ pub struct ServeOptions {
     /// Target device time per slice; jobs predicted to run longer are
     /// preempted at the nearest iteration boundary and requeued.
     pub quantum: SimTime,
-    /// Re-execute every preempted or failure-touched job uninterrupted
-    /// on a fresh context and require bit-identical output (the
-    /// server's self-check).
+    /// Require every preempted or failure-touched job to match an
+    /// uninterrupted run on a fresh context bit for bit (the server's
+    /// self-check; references are memoized per call — see the module
+    /// docs).
     pub verify_preempted: bool,
     /// Options forwarded to every slice execution.
     pub run: RunOptions,
@@ -350,6 +363,7 @@ pub fn serve(
     let mut devices_lost = 0usize;
     let mut verified = 0u64;
     let mut verified_ok = 0u64;
+    let mut references = References::default();
     let mut peak_live_bufs = fleet.pool.live_bufs();
     let mut peak_live_bytes = fleet.pool.live_bytes();
 
@@ -654,7 +668,13 @@ pub fn serve(
             }
             if (job.slices > 1 || state.hit_failure) && opts.verify_preempted {
                 verified += 1;
-                if verify_clean(spec, &fleet.gpus[best_d], &act.inst, &opts.run)? {
+                if verify_clean(
+                    spec,
+                    &fleet.gpus[best_d],
+                    &act.inst,
+                    &opts.run,
+                    &mut references,
+                )? {
                     verified_ok += 1;
                 }
             }
@@ -692,6 +712,7 @@ pub fn serve(
         breaker_trips: breakers.iter().map(|b| b.trips()).sum(),
         verified,
         verified_ok,
+        verify_reference_runs: references.runs,
         fairness,
         makespan,
         peak_live_bufs,
@@ -700,31 +721,89 @@ pub fn serve(
     })
 }
 
-/// Re-run a finished (preempted or failure-touched) job uninterrupted
-/// on a fresh context with the same deterministic setup and compare
-/// output bits. The degradation ladder is bit-stable, so the job's
-/// requested model is the reference even if some slices ran degraded.
+/// Uninterrupted-run outputs of one `serve` call, keyed by data
+/// identity, effective exec model and `(chunk, streams)` — everything
+/// that decides the reference's output bits.
+#[derive(Default)]
+struct References {
+    outputs: HashMap<(DataKey, u8, (usize, usize)), Vec<f32>>,
+    /// Uninterrupted reference runs executed (cache misses plus salted
+    /// jobs).
+    runs: u64,
+}
+
+/// Check a finished (preempted or failure-touched) job against an
+/// uninterrupted run of the same deterministic setup on a fresh
+/// context, bit for bit. The reference comes from `refs` when a job
+/// with the same data key, model and schedule was already verified in
+/// this call; otherwise it is run now and stored, unless the job is
+/// salted and its key can never recur. The degradation ladder is
+/// bit-stable, so the job's requested model is the reference even if
+/// some slices ran degraded.
 fn verify_clean(
     spec: &JobSpec,
     served_on: &Gpu,
     inst: &JobInstance,
     run_opts: &RunOptions,
+    refs: &mut References,
 ) -> RtResult<bool> {
     let got = read_host(served_on, inst.output)?;
+    let model = effective(spec.model);
+    let data = spec.shape.data_key(spec.id);
+    if data.is_salted() {
+        refs.runs += 1;
+        return Ok(same_bits(&got, &reference_run(spec, model, run_opts)?));
+    }
+    let key = (data, model_idx(model), spec.shape.schedule());
+    let want = match refs.outputs.entry(key) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(slot) => {
+            refs.runs += 1;
+            slot.insert(reference_run(spec, model, run_opts)?)
+        }
+    };
+    Ok(same_bits(&got, want))
+}
+
+/// Run `spec` uninterrupted under `model` on a fresh K40m context and
+/// return its output. The context's timeline is off: nothing reads it,
+/// and output bits do not depend on it.
+fn reference_run(spec: &JobSpec, model: ExecModel, run_opts: &RunOptions) -> RtResult<Vec<f32>> {
     let mut fresh = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional)?;
-    let vinst = spec.shape.setup(&mut fresh, spec.id)?;
-    run_model(
-        &mut fresh,
-        &vinst.region,
-        &*vinst.builder,
-        effective(spec.model),
-        run_opts,
-    )?;
-    let want = read_host(&fresh, vinst.output)?;
-    let identical = got.len() == want.len()
+    fresh.set_timeline_enabled(false);
+    let inst = spec.shape.setup(&mut fresh, spec.id)?;
+    run_model(&mut fresh, &inst.region, &*inst.builder, model, run_opts)?;
+    Ok(read_host(&fresh, inst.output)?)
+}
+
+/// Whether two outputs have the same length and the same bits in every
+/// element (so `NaN` matches its own bit pattern and `-0.0` differs
+/// from `0.0`).
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
         && got
             .iter()
-            .zip(want.iter())
-            .all(|(g, w)| g.to_bits() == w.to_bits());
-    Ok(identical)
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::same_bits;
+
+    #[test]
+    fn same_bits_catches_one_flipped_bit_and_length_mismatch() {
+        let want = vec![1.0f32, -2.5, f32::NAN, 0.0];
+        assert!(same_bits(&want, &want));
+        for i in 0..want.len() {
+            for bit in [0, 22, 31] {
+                let mut got = want.clone();
+                got[i] = f32::from_bits(got[i].to_bits() ^ (1 << bit));
+                assert!(!same_bits(&got, &want), "flip of bit {bit} at {i} passed");
+            }
+        }
+        assert!(!same_bits(&want[..3], &want));
+        assert!(!same_bits(&want, &want[..3]));
+        assert!(!same_bits(&[], &want));
+    }
 }

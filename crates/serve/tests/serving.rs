@@ -3,7 +3,11 @@
 //! simulation is deterministic.
 
 use gpsim::SimTime;
-use pipeline_serve::{serve, Fleet, ServeOptions, TenantSpec, WorkloadConfig};
+use pipeline_apps::Conv3dConfig;
+use pipeline_rt::ExecModel;
+use pipeline_serve::{
+    serve, Fleet, GemmConfig, JobShape, JobSpec, ServeOptions, TenantSpec, WorkloadConfig,
+};
 
 fn tenants() -> Vec<TenantSpec> {
     vec![
@@ -36,6 +40,7 @@ fn stream_drains_and_preempted_jobs_verify() {
         "a preempted job diverged from its uninterrupted reference"
     );
     assert!(report.verified >= report.preempted.min(1));
+    assert!(report.verify_reference_runs <= report.verified);
     assert!(report.makespan > SimTime::ZERO);
     // Per-tenant accounting adds up.
     let done: u64 = report.tenants.iter().map(|t| t.done).sum();
@@ -46,6 +51,48 @@ fn stream_drains_and_preempted_jobs_verify() {
         assert_eq!(t.queue_wait.count(), t.done);
         assert_eq!(t.makespan.count(), t.done);
     }
+}
+
+#[test]
+fn jobs_sharing_a_data_key_share_one_reference_run() {
+    // Two conv3d jobs with the same data key, model and schedule, and
+    // two same-shape GEMM jobs whose salts (their ids) differ; a tiny
+    // quantum preempts all four.
+    let mut conv = Conv3dConfig::test_small();
+    conv.nk = 18;
+    let gemm = JobShape::Gemm(GemmConfig {
+        n: 32,
+        bs: 4,
+        chunk: 1,
+        streams: 2,
+    });
+    let shapes = [JobShape::Conv3d(conv), JobShape::Conv3d(conv), gemm, gemm];
+    let jobs: Vec<JobSpec> = shapes
+        .into_iter()
+        .enumerate()
+        .map(|(i, shape)| JobSpec {
+            id: i as u64,
+            tenant: 0,
+            shape,
+            model: ExecModel::PipelinedBuffer,
+            priority: 0,
+            arrival: SimTime::from_us(i as u64),
+            deadline: None,
+            after: None,
+        })
+        .collect();
+    let mut fleet = Fleet::build(2).unwrap();
+    fleet.calibrate().unwrap();
+    let opts = ServeOptions::new().with_quantum(SimTime::from_us(5));
+    let report = serve(&mut fleet, &tenants()[..1], &jobs, &opts).unwrap();
+    assert_eq!(report.done, 4);
+    assert_eq!(report.preempted, 4, "every job should be sliced");
+    assert_eq!(report.verified, 4);
+    assert_eq!(report.verified_ok, 4);
+    assert_eq!(
+        report.verify_reference_runs, 3,
+        "one run for both conv3d jobs, one per salted GEMM job"
+    );
 }
 
 #[test]
