@@ -136,9 +136,23 @@ impl Conv3dConfig {
 
     /// Allocate, initialize and bind the region (loop `k in 1..nk-1`).
     pub fn setup(&self, gpu: &mut Gpu) -> RtResult<Conv3dInstance> {
+        let inst = self.bind(gpu)?;
+        self.fill(gpu, &inst)?;
+        Ok(inst)
+    }
+
+    /// Fill the input `A` of a bound instance from its canonical seed.
+    pub fn fill(&self, gpu: &Gpu, inst: &Conv3dInstance) -> RtResult<()> {
+        Ok(fill_random(gpu, inst.a, 0xC0417)?)
+    }
+
+    /// Allocate zeroed host arrays and bind the region, without filling
+    /// the inputs: enough for a cost-model probe, since costs depend on
+    /// shapes and never on data. [`setup`](Self::setup) is this plus
+    /// [`fill`](Self::fill).
+    pub fn bind(&self, gpu: &mut Gpu) -> RtResult<Conv3dInstance> {
         let a = gpu.alloc_host(self.total(), true)?;
         let b = gpu.alloc_host(self.total(), true)?;
-        fill_random(gpu, a, 0xC0417)?;
         let parsed = parse_directive(&self.directive())
             .map_err(|e| RtError::Spec(format!("conv3d directive: {e}")))?;
         let nk = self.nk;

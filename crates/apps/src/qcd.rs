@@ -126,13 +126,28 @@ impl QcdConfig {
 
     /// Allocate and initialize host fields, and bind the region.
     pub fn setup(&self, gpu: &mut Gpu) -> RtResult<QcdInstance> {
+        let inst = self.bind(gpu)?;
+        self.fill(gpu, &inst)?;
+        Ok(inst)
+    }
+
+    /// Fill ψ, `U` and `F` of a bound instance from their canonical seeds.
+    pub fn fill(&self, gpu: &Gpu, inst: &QcdInstance) -> RtResult<()> {
+        fill_random(gpu, inst.psi, 0x9C1)?;
+        fill_random(gpu, inst.u, 0x9C2)?;
+        fill_random(gpu, inst.f, 0x9C3)?;
+        Ok(())
+    }
+
+    /// Allocate zeroed host fields and bind the region, without filling
+    /// the inputs: enough for a cost-model probe, since costs depend on
+    /// shapes and never on data. [`setup`](Self::setup) is this plus
+    /// [`fill`](Self::fill).
+    pub fn bind(&self, gpu: &mut Gpu) -> RtResult<QcdInstance> {
         let psi = gpu.alloc_host(self.psi_slice() * self.nt, true)?;
         let u = gpu.alloc_host(self.u_slice() * self.nt, true)?;
         let f = gpu.alloc_host(self.u_slice() * self.nt, true)?;
         let out = gpu.alloc_host(self.psi_slice() * self.nt, true)?;
-        fill_random(gpu, psi, 0x9C1)?;
-        fill_random(gpu, u, 0x9C2)?;
-        fill_random(gpu, f, 0x9C3)?;
         let region = Region::new(self.spec(), 1, (self.nt - 1) as i64, vec![psi, u, f, out]);
         Ok(QcdInstance {
             config: *self,
@@ -331,141 +346,114 @@ pub fn hopping_sweep_scalar(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
     }
 }
 
-/// Flattened SU(3) matrix: 9 complex entries split into re/im planes,
-/// loaded from the interleaved link field once and reused.
-#[derive(Clone, Copy)]
-struct Su3 {
-    re: [f32; 9],
-    im: [f32; 9],
-}
-
+/// The 3×3 complex link matrix `U_mu(site)`: 9 entries, re/im
+/// interleaved, row-major.
 #[inline]
-fn load_su3(u: &[f32], site: usize, mu: usize) -> Su3 {
+fn link(u: &[f32], site: usize, mu: usize) -> &[f32; 18] {
     let base = (site * 4 + mu) * 18;
-    let m = &u[base..base + 18];
-    let mut re = [0.0f32; 9];
-    let mut im = [0.0f32; 9];
-    for e in 0..9 {
-        re[e] = m[2 * e];
-        im[e] = m[2 * e + 1];
-    }
-    Su3 { re, im }
+    u[base..base + 18]
+        .try_into()
+        .expect("an 18-float range is an SU(3) matrix")
 }
 
-/// `acc += M · v` on a pre-loaded matrix: same multiply/add sequence as
-/// [`mat_vec_acc`], but over fixed-size arrays with no bounds checks.
+/// One lane per right-hand side: a complex 3-vector for each of the
+/// [`N_RHS`] RHS at one site, component-major so each `[f32; N_RHS]`
+/// row is one vector register.
+#[derive(Clone, Copy, Default)]
+struct Vec3x4 {
+    re: [[f32; N_RHS]; 3],
+    im: [[f32; N_RHS]; 3],
+}
+
+/// ψ at `site` for all [`N_RHS`] RHS, transposed into lanes.
 #[inline]
-fn su3_mv_acc(m: &Su3, v: &Vec3, acc: &mut Vec3) {
+fn load_vec4(psi: &[f32], site: usize) -> Vec3x4 {
+    let p = &psi[site * PSI_SITE..(site + 1) * PSI_SITE];
+    let mut v = Vec3x4::default();
+    for rhs in 0..N_RHS {
+        for c in 0..3 {
+            v.re[c][rhs] = p[rhs * 6 + 2 * c];
+            v.im[c][rhs] = p[rhs * 6 + 2 * c + 1];
+        }
+    }
+    v
+}
+
+/// `acc += M · v` in every lane: per lane, the multiply/subtract/add
+/// sequence of [`mat_vec_acc`], with no fused multiply-add.
+#[inline(always)]
+fn su3_mv_acc4(m: &[f32; 18], v: &Vec3x4, acc: &mut Vec3x4) {
     for r in 0..3 {
         for c in 0..3 {
             let e = r * 3 + c;
-            acc.re[r] += m.re[e] * v.re[c] - m.im[e] * v.im[c];
-            acc.im[r] += m.re[e] * v.im[c] + m.im[e] * v.re[c];
+            let (mr, mi) = (m[2 * e], m[2 * e + 1]);
+            for l in 0..N_RHS {
+                acc.re[r][l] += mr * v.re[c][l] - mi * v.im[c][l];
+                acc.im[r][l] += mr * v.im[c][l] + mi * v.re[c][l];
+            }
         }
     }
 }
 
-/// `acc -= M† · v` on a pre-loaded matrix (mirror of [`mat_dag_vec_sub`]).
-#[inline]
-fn su3_mv_dag_sub(m: &Su3, v: &Vec3, acc: &mut Vec3) {
+/// `acc -= M† · v` in every lane (mirror of [`mat_dag_vec_sub`]).
+#[inline(always)]
+fn su3_mv_dag_sub4(m: &[f32; 18], v: &Vec3x4, acc: &mut Vec3x4) {
     for r in 0..3 {
         for c in 0..3 {
+            // (M†)[r][c] = conj(M[c][r])
             let e = c * 3 + r;
-            let (ur, ui) = (m.re[e], -m.im[e]);
-            acc.re[r] -= ur * v.re[c] - ui * v.im[c];
-            acc.im[r] -= ur * v.im[c] + ui * v.re[c];
+            let (ur, ui) = (m[2 * e], -m[2 * e + 1]);
+            for l in 0..N_RHS {
+                acc.re[r][l] -= ur * v.re[c][l] - ui * v.im[c][l];
+                acc.im[r][l] -= ur * v.im[c][l] + ui * v.re[c][l];
+            }
         }
     }
 }
 
-/// One hopping sweep for one time slice, optimized: the 16 link matrices
-/// a site needs (6 spatial forward + 6 spatial backward + 4 temporal)
-/// are loaded into flattened [`Su3`] registers once and reused across all
-/// [`N_RHS`] right-hand sides, with the μ loop unrolled. The per-RHS
-/// accumulation sequence is identical to [`hopping_sweep_scalar`], so
-/// results are bit-exact.
+/// One hopping sweep for one time slice, optimized: the four
+/// right-hand sides are the lanes of one accumulator (`Vec3x4`, one
+/// `[f32; N_RHS]` per complex component), so every link entry is loaded
+/// once per site and applied to all RHS in a single vectorizable lane
+/// loop, and each neighbour's ψ is transposed into lanes once. The 16
+/// link matrices a site needs (6 spatial forward + 6 spatial backward +
+/// 4 temporal) are applied in the order of [`hopping_sweep_scalar`]'s
+/// links × μ loop nest, and each lane runs exactly its
+/// multiply/subtract/add sequence (no FMA), so results are bit-exact.
 pub fn hopping_sweep(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
     let idx = |x: usize, y: usize, z: usize| (z * n + y) * n + x;
+    // Periodic neighbours without an integer division per hop.
+    let next = |i: usize| if i + 1 == n { 0 } else { i + 1 };
+    let prev = |i: usize| if i == 0 { n - 1 } else { i - 1 };
     for z in 0..n {
         for y in 0..n {
             for x in 0..n {
                 let site = idx(x, y, z);
-                let fwd = [
-                    idx((x + 1) % n, y, z),
-                    idx(x, (y + 1) % n, z),
-                    idx(x, y, (z + 1) % n),
-                ];
-                let bwd = [
-                    idx((x + n - 1) % n, y, z),
-                    idx(x, (y + n - 1) % n, z),
-                    idx(x, y, (z + n - 1) % n),
-                ];
-                let u_fwd = [
-                    load_su3(s.u_0, site, 0),
-                    load_su3(s.u_0, site, 1),
-                    load_su3(s.u_0, site, 2),
-                ];
-                let u_bwd = [
-                    load_su3(s.u_0, bwd[0], 0),
-                    load_su3(s.u_0, bwd[1], 1),
-                    load_su3(s.u_0, bwd[2], 2),
-                ];
-                let f_fwd = [
-                    load_su3(s.f_0, site, 0),
-                    load_su3(s.f_0, site, 1),
-                    load_su3(s.f_0, site, 2),
-                ];
-                let f_bwd = [
-                    load_su3(s.f_0, bwd[0], 0),
-                    load_su3(s.f_0, bwd[1], 1),
-                    load_su3(s.f_0, bwd[2], 2),
-                ];
-                let ut_f = load_su3(s.u_0, site, 3);
-                let ut_b = load_su3(s.u_m, site, 3);
-                let ft_f = load_su3(s.f_0, site, 3);
-                let ft_b = load_su3(s.f_m, site, 3);
-                for rhs in 0..N_RHS {
-                    let mut acc = Vec3::default();
-                    let pf = [
-                        load_vec(s.psi_0, fwd[0], rhs),
-                        load_vec(s.psi_0, fwd[1], rhs),
-                        load_vec(s.psi_0, fwd[2], rhs),
-                    ];
-                    let pb = [
-                        load_vec(s.psi_0, bwd[0], rhs),
-                        load_vec(s.psi_0, bwd[1], rhs),
-                        load_vec(s.psi_0, bwd[2], rhs),
-                    ];
-                    // Thin links, μ = 0,1,2 unrolled (same order as the
-                    // scalar sweep's links × μ loop nest).
-                    su3_mv_acc(&u_fwd[0], &pf[0], &mut acc);
-                    su3_mv_dag_sub(&u_bwd[0], &pb[0], &mut acc);
-                    su3_mv_acc(&u_fwd[1], &pf[1], &mut acc);
-                    su3_mv_dag_sub(&u_bwd[1], &pb[1], &mut acc);
-                    su3_mv_acc(&u_fwd[2], &pf[2], &mut acc);
-                    su3_mv_dag_sub(&u_bwd[2], &pb[2], &mut acc);
-                    // Fat links, μ = 0,1,2.
-                    su3_mv_acc(&f_fwd[0], &pf[0], &mut acc);
-                    su3_mv_dag_sub(&f_bwd[0], &pb[0], &mut acc);
-                    su3_mv_acc(&f_fwd[1], &pf[1], &mut acc);
-                    su3_mv_dag_sub(&f_bwd[1], &pb[1], &mut acc);
-                    su3_mv_acc(&f_fwd[2], &pf[2], &mut acc);
-                    su3_mv_dag_sub(&f_bwd[2], &pb[2], &mut acc);
-                    // Temporal hops to the neighbouring slices.
-                    let vt_p = load_vec(s.psi_p, site, rhs);
-                    let vt_m = load_vec(s.psi_m, site, rhs);
-                    su3_mv_acc(&ut_f, &vt_p, &mut acc);
-                    su3_mv_dag_sub(&ut_b, &vt_m, &mut acc);
-                    su3_mv_acc(&ft_f, &vt_p, &mut acc);
-                    su3_mv_dag_sub(&ft_b, &vt_m, &mut acc);
+                let fwd = [idx(next(x), y, z), idx(x, next(y), z), idx(x, y, next(z))];
+                let bwd = [idx(prev(x), y, z), idx(x, prev(y), z), idx(x, y, prev(z))];
+                let pf = fwd.map(|i| load_vec4(s.psi_0, i));
+                let pb = bwd.map(|i| load_vec4(s.psi_0, i));
+                let mut acc = Vec3x4::default();
+                for links in [s.u_0, s.f_0] {
+                    for mu in 0..3 {
+                        su3_mv_acc4(link(links, site, mu), &pf[mu], &mut acc);
+                        su3_mv_dag_sub4(link(links, bwd[mu], mu), &pb[mu], &mut acc);
+                    }
+                }
+                // Temporal hops to the neighbouring slices.
+                let vt_p = load_vec4(s.psi_p, site);
+                let vt_m = load_vec4(s.psi_m, site);
+                su3_mv_acc4(link(s.u_0, site, 3), &vt_p, &mut acc);
+                su3_mv_dag_sub4(link(s.u_m, site, 3), &vt_m, &mut acc);
+                su3_mv_acc4(link(s.f_0, site, 3), &vt_p, &mut acc);
+                su3_mv_dag_sub4(link(s.f_m, site, 3), &vt_m, &mut acc);
 
-                    let o = site * PSI_SITE + rhs * 6;
-                    out[o] = acc.re[0];
-                    out[o + 1] = acc.im[0];
-                    out[o + 2] = acc.re[1];
-                    out[o + 3] = acc.im[1];
-                    out[o + 4] = acc.re[2];
-                    out[o + 5] = acc.im[2];
+                let o = &mut out[site * PSI_SITE..(site + 1) * PSI_SITE];
+                for rhs in 0..N_RHS {
+                    for c in 0..3 {
+                        o[rhs * 6 + 2 * c] = acc.re[c][rhs];
+                        o[rhs * 6 + 2 * c + 1] = acc.im[c][rhs];
+                    }
                 }
             }
         }
@@ -521,9 +509,6 @@ mod tests {
 
     #[test]
     fn optimized_sweep_is_bit_identical_to_scalar() {
-        let n = 5;
-        let vol3 = n * n * n;
-        let (ps, us) = (vol3 * PSI_SITE, vol3 * U_SITE);
         let fill = |seed: u64, len: usize| -> Vec<f32> {
             let mut state = seed;
             (0..len)
@@ -533,23 +518,37 @@ mod tests {
                 })
                 .collect()
         };
-        let psi = fill(1, 3 * ps);
-        let u = fill(2, 2 * us);
-        let f = fill(3, 2 * us);
-        let slices = HopSlices {
-            psi_m: &psi[..ps],
-            psi_0: &psi[ps..2 * ps],
-            psi_p: &psi[2 * ps..],
-            u_m: &u[..us],
-            u_0: &u[us..],
-            f_m: &f[..us],
-            f_0: &f[us..],
-        };
-        let mut scalar = vec![0.0f32; ps];
-        let mut opt = vec![0.0f32; ps];
-        hopping_sweep_scalar(n, &slices, &mut scalar);
-        hopping_sweep(n, &slices, &mut opt);
-        assert_eq!(scalar, opt, "flattened SU(3) sweep must be bit-exact");
+        // Small lattices lean on the periodic wrap: at n = 3, 26 of the
+        // 27 sites have a wrapped neighbour. Odd n has no even/odd
+        // symmetry in it.
+        for n in [3, 4, 5] {
+            let vol3 = n * n * n;
+            let (ps, us) = (vol3 * PSI_SITE, vol3 * U_SITE);
+            let psi = fill(1 + n as u64, 3 * ps);
+            let u = fill(2 + n as u64, 2 * us);
+            let f = fill(3 + n as u64, 2 * us);
+            let slices = HopSlices {
+                psi_m: &psi[..ps],
+                psi_0: &psi[ps..2 * ps],
+                psi_p: &psi[2 * ps..],
+                u_m: &u[..us],
+                u_0: &u[us..],
+                f_m: &f[..us],
+                f_0: &f[us..],
+            };
+            let mut scalar = vec![0.0f32; ps];
+            let mut opt = vec![f32::NAN; ps];
+            hopping_sweep_scalar(n, &slices, &mut scalar);
+            hopping_sweep(n, &slices, &mut opt);
+            let (scalar, opt): (Vec<u32>, Vec<u32>) = (
+                scalar.iter().map(|x| x.to_bits()).collect(),
+                opt.iter().map(|x| x.to_bits()).collect(),
+            );
+            assert_eq!(
+                scalar, opt,
+                "lane-parallel sweep must be bit-exact at n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -140,9 +140,23 @@ impl StencilConfig {
     /// Allocate and initialize host arrays, parse the directive, and bind
     /// the region (loop `k in 1..nz-1`).
     pub fn setup(&self, gpu: &mut Gpu) -> RtResult<StencilInstance> {
+        let inst = self.bind(gpu)?;
+        self.fill(gpu, &inst)?;
+        Ok(inst)
+    }
+
+    /// Fill the input `A0` of a bound instance from its canonical seed.
+    pub fn fill(&self, gpu: &Gpu, inst: &StencilInstance) -> RtResult<()> {
+        Ok(fill_random(gpu, inst.a0, 0x57E7C11)?)
+    }
+
+    /// Allocate zeroed host arrays and bind the region, without filling
+    /// the inputs: enough for a cost-model probe, since costs depend on
+    /// shapes and never on data. [`setup`](Self::setup) is this plus
+    /// [`fill`](Self::fill).
+    pub fn bind(&self, gpu: &mut Gpu) -> RtResult<StencilInstance> {
         let a0 = gpu.alloc_host(self.total(), true)?;
         let anext = gpu.alloc_host(self.total(), true)?;
-        fill_random(gpu, a0, 0x57E7C11)?;
         let parsed = parse_directive(&self.directive())
             .map_err(|e| RtError::Spec(format!("stencil directive: {e}")))?;
         let nz = self.nz;

@@ -280,13 +280,21 @@ pub struct HostPool {
 
 struct HostPoolInner {
     bufs: Vec<HostBuf>,
+    /// Buffers in `bufs` not yet freed, kept by `alloc`/`free`.
+    live_bufs: usize,
+    /// Bytes of those buffers.
+    live_bytes: u64,
 }
 
 impl HostPool {
     /// Create an empty host pool for the given execution mode.
     pub fn new(mode: ExecMode) -> HostPool {
         HostPool {
-            inner: Rc::new(RefCell::new(HostPoolInner { bufs: Vec::new() })),
+            inner: Rc::new(RefCell::new(HostPoolInner {
+                bufs: Vec::new(),
+                live_bufs: 0,
+                live_bytes: 0,
+            })),
             mode,
         }
     }
@@ -301,19 +309,15 @@ impl HostPool {
     /// A long-running service that allocates per-job arrays from a
     /// shared pool can watch this to prove its working set is bounded:
     /// under steady job churn the live count must plateau, not grow.
+    /// O(1): the pool keeps the count as buffers come and go.
     pub fn live_bufs(&self) -> usize {
-        self.inner.borrow().bufs.iter().filter(|h| !h.freed).count()
+        self.inner.borrow().live_bufs
     }
 
-    /// Total bytes of the currently live buffers.
+    /// Total bytes of the currently live buffers (O(1), like
+    /// [`live_bufs`](HostPool::live_bufs)).
     pub fn live_bytes(&self) -> u64 {
-        self.inner
-            .borrow()
-            .bufs
-            .iter()
-            .filter(|h| !h.freed)
-            .map(|h| h.len as u64 * ELEM_BYTES)
-            .sum()
+        self.inner.borrow().live_bytes
     }
 
     pub(crate) fn alloc(&self, elems: usize, pinned: bool) -> SimResult<HostBufId> {
@@ -332,6 +336,8 @@ impl HostPool {
             data,
             freed: false,
         });
+        inner.live_bufs += 1;
+        inner.live_bytes += elems as u64 * ELEM_BYTES;
         Ok(id)
     }
 
@@ -346,6 +352,9 @@ impl HostPool {
         }
         h.freed = true;
         h.data = None;
+        let bytes = h.len as u64 * ELEM_BYTES;
+        inner.live_bufs -= 1;
+        inner.live_bytes -= bytes;
         Ok(())
     }
 
@@ -825,5 +834,58 @@ mod tests {
         assert_eq!(p.overhead_bytes(), 9_000);
         assert!(p.alloc(1000).is_err(), "4000 B no longer fit");
         assert!(p.alloc(250).is_ok());
+    }
+
+    /// `(live_bufs, live_bytes)` recounted from every buffer the pool
+    /// ever held.
+    fn recount(hosts: &HostPool) -> (usize, u64) {
+        let inner = hosts.inner.borrow();
+        let live = inner.bufs.iter().filter(|h| !h.freed);
+        (
+            live.clone().count(),
+            live.map(|h| h.len as u64 * ELEM_BYTES).sum(),
+        )
+    }
+
+    #[test]
+    fn host_pool_counters_match_a_recount() {
+        let hosts = HostPool::new(ExecMode::Functional);
+        let mut gpus = [
+            crate::Gpu::with_host_pool(crate::DeviceProfile::k40m(), hosts.clone()).unwrap(),
+            crate::Gpu::with_host_pool(crate::DeviceProfile::k40m(), hosts.clone()).unwrap(),
+        ];
+        let mut live: Vec<HostBufId> = Vec::new();
+        let mut dead: Vec<HostBufId> = Vec::new();
+        let mut state = 0x5EED_u64;
+        for _ in 0..400 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (state >> 33) as usize;
+            let gpu = &mut gpus[r & 1];
+            if live.is_empty() || r % 5 < 3 {
+                live.push(gpu.alloc_host(1 + r % 97, r & 2 != 0).unwrap());
+            } else {
+                let id = live.swap_remove(r % live.len());
+                gpu.free_host(id).unwrap();
+                dead.push(id);
+            }
+            assert_eq!((hosts.live_bufs(), hosts.live_bytes()), recount(&hosts));
+            if let Some(&id) = dead.last().filter(|_| r.is_multiple_of(7)) {
+                // A double free fails and leaves both counters alone.
+                let before = (hosts.live_bufs(), hosts.live_bytes());
+                assert!(gpus[(r >> 1) & 1].free_host(id).is_err());
+                assert_eq!((hosts.live_bufs(), hosts.live_bytes()), before);
+            }
+        }
+        assert!(
+            !live.is_empty() && !dead.is_empty(),
+            "the sequence exercised both paths"
+        );
+        for id in live.drain(..) {
+            gpus[0].free_host(id).unwrap();
+        }
+        assert_eq!((hosts.live_bufs(), hosts.live_bytes()), (0, 0));
+        assert_eq!(recount(&hosts), (0, 0));
     }
 }

@@ -66,9 +66,6 @@ struct StreamState {
     last_done: SimTime,
     /// Number of commands currently running on engines.
     running: usize,
-    /// False once destroyed; destroyed streams reject new work and stop
-    /// contributing to scheduling overhead and memory.
-    alive: bool,
     /// An injected hang wedged this stream: its in-flight command never
     /// completes, so the FIFO may not dispatch successors. Cleared only
     /// when the context is declared lost.
@@ -89,7 +86,6 @@ impl StreamState {
             ready_at: SimTime::ZERO,
             last_done: SimTime::ZERO,
             running: 0,
-            alive: true,
             hung: false,
             indexed_head: None,
             pseudo_listed: false,
@@ -217,10 +213,27 @@ pub struct HealthProbe {
 ///
 /// See the [crate-level documentation](crate) for an overview; the
 /// scheduling model is described in this module's source-level docs.
+///
+/// # Stream lifetime
+///
+/// A destroyed stream keeps its [`StreamId`]: ids are never reused, so
+/// enqueueing on a destroyed id keeps failing with the destroyed-stream
+/// error. Destroyed streams cost nothing per DES step — the context
+/// keeps an index of the alive streams, and [`Gpu::stream_count`], the
+/// drain predicates and the dispatch overhead look only at that index —
+/// so a long-lived context that creates and destroys streams per job
+/// simulates each step as fast as a fresh one.
 pub struct Gpu {
     profile: DeviceProfile,
     pool: MemPool,
+    /// Every stream the context ever created, indexed by id. Destroyed
+    /// streams keep their slot so ids are never reused and a
+    /// use-after-destroy is reported as such.
     streams: Vec<StreamState>,
+    /// Ids of the alive streams, ascending — the only streams per-step
+    /// bookkeeping visits. Destroyed streams reject new work and stop
+    /// contributing to scheduling overhead and memory.
+    live: Vec<u32>,
     events: Vec<EventState>,
     /// Dynamic state of every live command, indexed by sequence number.
     arena: CmdArena,
@@ -298,6 +311,7 @@ impl Gpu {
             profile,
             pool,
             streams: Vec::new(),
+            live: Vec::new(),
             events: Vec::new(),
             arena: CmdArena::new(),
             inflight: [Vec::new(), Vec::new(), Vec::new()],
@@ -326,6 +340,7 @@ impl Gpu {
         // Stream 0: the default stream, free of the per-stream memory tax
         // (it is part of the base runtime footprint).
         gpu.streams.push(StreamState::new());
+        gpu.live.push(0);
         gpu.sample_mem();
         Ok(gpu)
     }
@@ -556,7 +571,11 @@ impl Gpu {
             last_retired_seq: self.last_retired_seq,
             watermark,
             in_flight: self.inflight.iter().map(Vec::len).sum::<usize>() + self.hung.len(),
-            queued: self.streams.iter().map(|s| s.queue.len()).sum(),
+            queued: self
+                .live
+                .iter()
+                .map(|&si| self.streams[si as usize].queue.len())
+                .sum(),
             lost: self.lost,
         }
     }
@@ -804,12 +823,14 @@ impl Gpu {
         self.sample_mem();
         let id = StreamId(self.streams.len() as u32);
         self.streams.push(StreamState::new());
+        // Ids grow monotonically, so appending keeps `live` ascending.
+        self.live.push(id.0);
         Ok(id)
     }
 
     /// Number of live streams (including the default stream).
     pub fn stream_count(&self) -> usize {
-        self.streams.iter().filter(|s| s.alive).count()
+        self.live.len()
     }
 
     /// Destroy a stream: waits for its pending work (CUDA semantics), then
@@ -824,7 +845,11 @@ impl Gpu {
         }
         self.stream_synchronize(stream)?;
         self.api_call();
-        self.streams[stream.0 as usize].alive = false;
+        let pos = self
+            .live
+            .binary_search(&stream.0)
+            .expect("check_stream admitted an alive stream");
+        self.live.remove(pos);
         self.pool.release_overhead(self.profile.mem_per_stream);
         self.sample_mem();
         Ok(())
@@ -849,10 +874,12 @@ impl Gpu {
     }
 
     fn check_stream(&self, s: StreamId) -> SimResult<()> {
-        match self.streams.get(s.0 as usize) {
-            Some(st) if st.alive => Ok(()),
-            Some(_) => Err(err_stream_destroyed(s)),
-            None => Err(err_bad_stream(s)),
+        if self.live.binary_search(&s.0).is_ok() {
+            Ok(())
+        } else if (s.0 as usize) < self.streams.len() {
+            Err(err_stream_destroyed(s))
+        } else {
+            Err(err_bad_stream(s))
         }
     }
 
@@ -1089,11 +1116,14 @@ impl Gpu {
     pub fn synchronize(&mut self) -> SimResult<()> {
         let t0 = self.now_host;
         self.api_call();
-        self.run_until(|g| g.streams.iter().all(StreamState::drained))?;
+        // Destroyed streams were synchronized before they died and take
+        // no new work, so only the live ones can hold anything undrained
+        // (and `now_host` already covers their `last_done`).
+        self.run_until(|g| g.live.iter().all(|&si| g.streams[si as usize].drained()))?;
         let done = self
-            .streams
+            .live
             .iter()
-            .map(|s| s.last_done)
+            .map(|&si| self.streams[si as usize].last_done)
             .fold(SimTime::ZERO, SimTime::max);
         self.now_host = self.now_host.max(done);
         self.maybe_reset_arena();
@@ -1137,7 +1167,10 @@ impl Gpu {
     fn maybe_reset_arena(&mut self) {
         if self.hung.is_empty()
             && self.inflight.iter().all(Vec::is_empty)
-            && self.streams.iter().all(|s| s.queue.is_empty())
+            && self
+                .live
+                .iter()
+                .all(|&si| self.streams[si as usize].queue.is_empty())
         {
             self.arena.reset(self.seq);
         }

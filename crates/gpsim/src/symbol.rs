@@ -11,10 +11,13 @@
 //! bounded by the distinct (kind, size) pairs a process ever simulates,
 //! each a handful of bytes. A thread-local cache front-ends the global
 //! table so sweep worker threads don't contend on the mutex after
-//! warm-up.
+//! warm-up. Both maps hash with [`KeyHasher`], a multiply-rotate mix
+//! sized for these few small integers; the default SipHash cost more
+//! than the rest of the lookup.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Mutex, OnceLock};
 
 /// Numeric identity of a deferred label. Everything needed to render the
@@ -57,10 +60,52 @@ impl LabelKey {
     }
 }
 
-static TABLE: OnceLock<Mutex<HashMap<LabelKey, &'static str>>> = OnceLock::new();
+/// Multiply-rotate hasher for [`LabelKey`]: every word the derived
+/// `Hash` writes (discriminant, sizes) is folded in with one rotate, xor
+/// and multiply. Keys are trusted, in-process values, so no DoS
+/// resistance is needed.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        // Odd constant from the golden ratio (Fibonacci hashing).
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_isize(&mut self, word: isize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // A product's low bits see only the factors' low bits, and sizes
+        // are often multiples of large powers of two: fold the well-mixed
+        // high half down so the bucket index (low bits) depends on all of it.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type LabelMap = HashMap<LabelKey, &'static str, BuildHasherDefault<KeyHasher>>;
+
+static TABLE: OnceLock<Mutex<LabelMap>> = OnceLock::new();
 
 thread_local! {
-    static LOCAL: RefCell<HashMap<LabelKey, &'static str>> = RefCell::new(HashMap::new());
+    static LOCAL: RefCell<LabelMap> = RefCell::new(LabelMap::default());
 }
 
 /// Resolve `key` to its interned label, rendering (and leaking) it on
@@ -72,7 +117,7 @@ pub(crate) fn intern(key: LabelKey) -> &'static str {
             return s;
         }
         let mut table = TABLE
-            .get_or_init(|| Mutex::new(HashMap::new()))
+            .get_or_init(|| Mutex::new(LabelMap::default()))
             .lock()
             .expect("label table poisoned");
         let s = *table

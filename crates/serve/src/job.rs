@@ -149,9 +149,25 @@ impl JobShape {
     /// distinct data; the conv3d/stencil/qcd apps use their fixed
     /// canonical seeds. Same shape + same salt ⇒ bit-identical inputs.
     pub fn setup(&self, gpu: &mut Gpu, salt: u64) -> RtResult<JobInstance> {
+        self.materialize(gpu, Some(salt))
+    }
+
+    /// [`setup`](JobShape::setup) without the input fills: the same
+    /// `alloc_host` calls and bound region, inputs left zeroed. Enough
+    /// for a cost-model probe, whose predictions depend on shapes and
+    /// never on data.
+    pub(crate) fn bind(&self, gpu: &mut Gpu) -> RtResult<JobInstance> {
+        self.materialize(gpu, None)
+    }
+
+    /// Bind, then fill the inputs when given the fill salt.
+    fn materialize(&self, gpu: &mut Gpu, fill: Option<u64>) -> RtResult<JobInstance> {
         match self {
             JobShape::Conv3d(c) => {
-                let inst = c.setup(gpu)?;
+                let inst = c.bind(gpu)?;
+                if fill.is_some() {
+                    c.fill(gpu, &inst)?;
+                }
                 Ok(JobInstance {
                     region: inst.region,
                     builder: Box::new(c.builder()),
@@ -160,7 +176,10 @@ impl JobShape {
                 })
             }
             JobShape::Stencil(c) => {
-                let inst = c.setup(gpu)?;
+                let inst = c.bind(gpu)?;
+                if fill.is_some() {
+                    c.fill(gpu, &inst)?;
+                }
                 Ok(JobInstance {
                     region: inst.region,
                     builder: Box::new(c.builder()),
@@ -169,7 +188,10 @@ impl JobShape {
                 })
             }
             JobShape::Qcd(c) => {
-                let inst = c.setup(gpu)?;
+                let inst = c.bind(gpu)?;
+                if fill.is_some() {
+                    c.fill(gpu, &inst)?;
+                }
                 Ok(JobInstance {
                     region: inst.region,
                     builder: Box::new(c.builder()),
@@ -177,7 +199,7 @@ impl JobShape {
                     output: inst.out,
                 })
             }
-            JobShape::Gemm(c) => gemm_setup(c, gpu, salt),
+            JobShape::Gemm(c) => gemm_setup(c, gpu, fill),
         }
     }
 }
@@ -222,15 +244,17 @@ pub struct JobInstance {
     pub output: HostBufId,
 }
 
-fn gemm_setup(cfg: &GemmConfig, gpu: &mut Gpu, salt: u64) -> RtResult<JobInstance> {
+fn gemm_setup(cfg: &GemmConfig, gpu: &mut Gpu, fill: Option<u64>) -> RtResult<JobInstance> {
     cfg.validate()?;
     let (n, bs) = (cfg.n, cfg.bs);
     let nb = cfg.blocks();
     let a = gpu.alloc_host(n * n, true)?;
     let b = gpu.alloc_host(n * n, true)?;
     let c = gpu.alloc_host(n * n, true)?;
-    fill_random(gpu, a, 0x6E44 ^ salt)?;
-    fill_random(gpu, b, 0xB0B ^ salt.rotate_left(17))?;
+    if let Some(salt) = fill {
+        fill_random(gpu, a, 0x6E44 ^ salt)?;
+        fill_random(gpu, b, 0xB0B ^ salt.rotate_left(17))?;
+    }
     let spec = RegionSpec::new(Schedule::static_(cfg.chunk, cfg.streams))
         .with_map(MapSpec {
             name: "A".into(),

@@ -58,7 +58,7 @@ use pipeline_rt::{
 use crate::admission::{RateLimit, Rejection, RejectionCounts, TokenBucket};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::fleet::{DeviceModel, Fleet};
-use crate::job::{DataKey, JobInstance, JobSpec, ShapeSig, TenantSpec};
+use crate::job::{DataKey, JobInstance, JobShape, JobSpec, ShapeSig, TenantSpec};
 use crate::metrics::{ServeReport, TenantStats};
 use crate::sched::{FairScheduler, QueueEntry, QueueOrder};
 
@@ -268,6 +268,32 @@ fn per_iter_table(
     Ok(out)
 }
 
+/// The admission-time cost probe: bind `shape` on `gpu` without
+/// filling its inputs, sweep its per-iteration predictions over the
+/// fleet's `models`, and free the buffers unread. Host-only — the
+/// `alloc_host`/`free_host` calls are the only simulated time it costs.
+fn probe_table(
+    gpu: &mut Gpu,
+    models: &[DeviceModel],
+    shape: &JobShape,
+    model: ExecModel,
+) -> RtResult<Vec<u64>> {
+    let inst = shape.bind(gpu)?;
+    let table = per_iter_table(
+        gpu,
+        models,
+        &inst.region,
+        &*inst.builder,
+        model,
+        shape.schedule(),
+        shape.iterations().max(1) as u64,
+    )?;
+    for &b in &inst.buffers {
+        gpu.free_host(b)?;
+    }
+    Ok(table)
+}
+
 /// Serve `jobs` (any order; released by arrival or closed-loop chain)
 /// for `tenants` on `fleet` and drain the stream: every job either
 /// completes or is rejected at admission with a typed reason.
@@ -343,7 +369,7 @@ pub fn serve(
         .collect();
 
     // (ShapeSig, model) → per-device per-iteration ns. Admission fills
-    // it with a throwaway host-only setup on a cache miss; placement
+    // it with a throwaway host-only bind on a cache miss; placement
     // and quantum sizing reuse it for free thereafter.
     let mut cost_cache: BTreeMap<(ShapeSig, u8), Vec<u64>> = BTreeMap::new();
     // Predicted device-ns of admitted-but-unfinished work; drain time
@@ -431,26 +457,19 @@ pub fn serve(
             };
 
             // Per-iteration estimate for the rung the job will run
-            // (cache probe is host-only: setup, predict, free — no
-            // engine commands, so it cannot fault).
+            // (cache probe is host-only: bind, predict, free — no
+            // engine commands, so it cannot fault; the inputs stay
+            // unfilled because costs never depend on data).
             let mut pred_per_iter = 0u64;
             if verdict.is_none() {
                 let key = (spec.shape.sig(), model_idx(model));
                 if let std::collections::btree_map::Entry::Vacant(slot) = cost_cache.entry(key) {
-                    let inst = spec.shape.setup(&mut fleet.gpus[frontier], spec.id)?;
-                    let table = per_iter_table(
-                        &fleet.gpus[frontier],
+                    slot.insert(probe_table(
+                        &mut fleet.gpus[frontier],
                         &fleet.models,
-                        &inst.region,
-                        &*inst.builder,
+                        &spec.shape,
                         model,
-                        spec.shape.schedule(),
-                        iters_total,
-                    )?;
-                    for &b in &inst.buffers {
-                        fleet.gpus[frontier].free_host(b)?;
-                    }
-                    slot.insert(table);
+                    )?);
                 }
                 pred_per_iter = cost_cache[&key]
                     .iter()
@@ -789,7 +808,65 @@ fn same_bits(got: &[f32], want: &[f32]) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::same_bits;
+    use super::{per_iter_table, probe_table, same_bits};
+    use crate::fleet::Fleet;
+    use crate::job::{GemmConfig, JobShape};
+    use pipeline_apps::{Conv3dConfig, QcdConfig, StencilConfig};
+    use pipeline_rt::ExecModel;
+
+    #[test]
+    fn bind_only_probe_matches_a_full_setup() {
+        let shapes = [
+            JobShape::Conv3d(Conv3dConfig::test_small()),
+            JobShape::Stencil(StencilConfig::test_small()),
+            JobShape::Gemm(GemmConfig {
+                n: 16,
+                bs: 4,
+                chunk: 1,
+                streams: 2,
+            }),
+            JobShape::Qcd(QcdConfig::test_small()),
+        ];
+        let models = [
+            ExecModel::Naive,
+            ExecModel::Pipelined,
+            ExecModel::PipelinedBuffer,
+        ];
+        let mut probed = Fleet::build(2).unwrap();
+        let mut full = Fleet::build(2).unwrap();
+        probed.calibrate().unwrap();
+        full.calibrate().unwrap();
+        for shape in &shapes {
+            for &model in &models {
+                let got = probe_table(&mut probed.gpus[0], &probed.models, shape, model).unwrap();
+                // The probe as it was before it skipped the fills.
+                let gpu = &mut full.gpus[0];
+                let inst = shape.setup(gpu, 7).unwrap();
+                let iters = shape.iterations().max(1) as u64;
+                let want = per_iter_table(
+                    gpu,
+                    &full.models,
+                    &inst.region,
+                    &*inst.builder,
+                    model,
+                    shape.schedule(),
+                    iters,
+                )
+                .unwrap();
+                for &b in &inst.buffers {
+                    gpu.free_host(b).unwrap();
+                }
+                let what = format!("{} under {model:?}", shape.name());
+                assert_eq!(got, want, "{what}: cost tables differ");
+                assert_eq!(
+                    probed.gpus[0].now(),
+                    full.gpus[0].now(),
+                    "{what}: host clocks differ"
+                );
+            }
+        }
+        assert_eq!(probed.pool.live_bufs(), full.pool.live_bufs());
+    }
 
     #[test]
     fn same_bits_catches_one_flipped_bit_and_length_mismatch() {
