@@ -19,11 +19,10 @@
 
 use gpsim::{Gpu, HostBufId, HostPool, SimTime};
 
-use crate::buffer::{buffer_impl, BufferOptions};
 use crate::costmodel::ModelTuner;
 use crate::error::{RtError, RtResult};
-use crate::exec::{expect_done, KernelBuilder, Region};
-use crate::report::RunReport;
+use crate::exec::{run_fresh, KernelBuilder, Region};
+use crate::report::{ExecModel, RunReport};
 use crate::spec::Schedule;
 
 /// The candidate grid explored by [`autotune`].
@@ -196,14 +195,12 @@ fn autotune_exhaustive(
         let mut candidate =
             Region::new(region.spec.clone(), region.lo, region.hi, st.arrays.clone());
         candidate.spec.schedule = Schedule::static_(chunk, streams);
-        buffer_impl(
+        run_fresh(
             &mut st.twin,
             &candidate,
             builder,
-            &BufferOptions::default(),
-            None,
+            ExecModel::PipelinedBuffer,
         )
-        .map(expect_done)
         .map(|rep| rep.total)
     });
 
@@ -257,8 +254,7 @@ pub fn run_autotuned(
     let tuned = autotune(gpu, region, builder, space)?;
     let mut best_region = region.clone();
     best_region.spec.schedule = tuned.best;
-    let report = buffer_impl(gpu, &best_region, builder, &BufferOptions::default(), None)
-        .map(expect_done)?;
+    let report = run_fresh(gpu, &best_region, builder, ExecModel::PipelinedBuffer)?;
     Ok((tuned, report))
 }
 
@@ -329,9 +325,7 @@ mod tests {
         // And the tuned run must beat the paper's default static[1,3].
         let mut dflt = region.clone();
         dflt.spec.schedule = Schedule::static_(1, 3);
-        let worst = buffer_impl(&mut gpu, &dflt, &builder, &BufferOptions::default(), None)
-            .map(expect_done)
-            .unwrap();
+        let worst = run_fresh(&mut gpu, &dflt, &builder, ExecModel::PipelinedBuffer).unwrap();
         let (_, best) = run_autotuned(&mut gpu, &region, &builder, &TuneSpace::default()).unwrap();
         assert!(
             best.total.as_secs_f64() < 0.7 * worst.total.as_secs_f64(),

@@ -1,6 +1,9 @@
-//! The **Pipelined-buffer** driver — the paper's contribution.
+//! The plan compiler: every execution model becomes one [`CompiledPlan`].
 //!
-//! Each mapped array gets a small pre-allocated device ring buffer of
+//! The paper's three models issue the same chunk → stream →
+//! H2D/kernel/D2H pattern and differ only in where slices live on the
+//! device. The **Pipelined-buffer** model — the paper's contribution —
+//! gives each mapped array a small pre-allocated device ring buffer of
 //! `slots` slices; slice `s` of the host array lives at ring slot
 //! `s % slots` ("we copy chunk *i* to position (*i* % 4)", paper §IV).
 //! The loop is divided into chunks dispatched round-robin over streams;
@@ -21,27 +24,33 @@
 //! like the paper's dependency calculation that "removes the data that
 //! only previous chunks require".
 //!
-//! Execution is split into **compile** and **replay**: [`compile_plan`]
-//! resolves the schedule, classifies every residency/hazard decision into
-//! per-chunk [`ChunkStep`]s and interns the trace label — all without
-//! touching the device — and the driver replays the resulting
-//! [`CompiledPlan`], issuing only device commands. Iterative callers
-//! (sweeps, autotune probes, multi-iteration apps) compile once and pass
-//! the plan back in via
+//! The **Pipelined** model is the same classification over a ring of
+//! `extent` slots — full-size arrays, nothing ever evicted — plus the
+//! per-enqueue polling charge of an OpenACC-style async runtime. The
+//! **Naive** model is one chunk on the default stream, issued
+//! synchronously, moving whole arrays (or, over a sub-range of a larger
+//! run, just the windows it needs).
+//!
+//! Compilation touches no device state (except the
+//! [`StreamAssignment::LeastLoaded`] cost probe); the executor in
+//! [`crate::exec`] replays the plan, and the cost model walks it.
+//! Iterative callers (sweeps, autotune probes, multi-iteration apps)
+//! compile once and pass the plan back in via
 //! [`RunOptions::with_compiled`](crate::RunOptions::with_compiled),
 //! taking per-run planning out of the host hot path.
 
-use gpsim::{Copy2D, CounterTrack, EventId, Gpu, HostSpanKind, StreamId, WaitCause};
+use gpsim::{DeviceProfile, Gpu, SimTime, WaitCause};
 
 use crate::error::RtResult;
-use crate::exec::{declare_accesses, KernelBuilder, Region};
+use crate::exec::{KernelBuilder, Region};
+use crate::multi::validate_sliceable;
 use crate::plan::{
-    build_window_table, resolve_plan, resolve_plan_fn, ChunkStep, CompiledPlan, EvKind, Plan,
-    PlanKey, WindowFn, WindowTable,
+    build_window_table, chunk_ranges, map_full_bytes, resolve_plan, resolve_plan_fn,
+    ring_slots_min, slots_bytes, ChunkStep, CompiledPlan, EvKind, Layout, Plan, PlanKey, SliceRun,
+    StageWait, WindowFn, WindowTable,
 };
-use crate::recovery::{drain_with_recovery, DrainResult, DriverOutcome, RecoveryCtx, RecoveryStats};
-use crate::report::{ExecModel, RunReport};
-use crate::spec::{RegionSpec, SplitSpec};
+use crate::report::ExecModel;
+use crate::spec::{MapDir, RegionSpec, Schedule, SplitSpec};
 use crate::view::{ArrayView, ChunkCtx};
 
 /// Ring bookkeeping for one mapped array.
@@ -53,6 +62,10 @@ use crate::view::{ArrayView, ChunkCtx};
 /// hot path (the reader vectors keep their capacity across reuse).
 struct RingBook {
     slots: usize,
+    /// Whether kernel readers must be remembered: only eviction consults
+    /// them, and a ring as large as the array never evicts a resident
+    /// slice (it can only re-copy one when residency is not tracked).
+    track_readers: bool,
     /// slot → currently mapped slice.
     mapped: Vec<Option<i64>>,
     /// slot → chunk that copied the mapped slice in (inputs).
@@ -64,9 +77,10 @@ struct RingBook {
 }
 
 impl RingBook {
-    fn new(slots: usize) -> Self {
+    fn new(slots: usize, extent: usize, track_residency: bool) -> Self {
         RingBook {
             slots,
+            track_readers: slots < extent || !track_residency,
             mapped: vec![None; slots],
             copied_by: vec![None; slots],
             readers: vec![Vec::new(); slots],
@@ -103,31 +117,18 @@ fn slot_runs_into(lo: i64, hi: i64, slots: usize, out: &mut Vec<(i64, usize)>) {
     }
 }
 
-/// [`slot_runs_into`] returning a fresh vector (tests and cold paths).
-fn slot_runs(lo: i64, hi: i64, slots: usize) -> Vec<(i64, usize)> {
+/// [`slot_runs_into`] returning a fresh vector (recovery reissues).
+pub(crate) fn slot_runs(lo: i64, hi: i64, slots: usize) -> Vec<(i64, usize)> {
     let mut out = Vec::new();
     slot_runs_into(lo, hi, slots, &mut out);
     out
 }
 
-/// Push a compiled wait, deduplicating on the `(chunk, stage)` pair —
-/// exactly one event exists per chunk per stage, so this matches the
-/// historical event-id dedupe.
-fn push_wait(waits: &mut Vec<(usize, EvKind)>, ch: usize, kind: EvKind) {
-    if !waits.contains(&(ch, kind)) {
-        waits.push((ch, kind));
-    }
-}
-
-/// [`push_wait`] for cause-tagged waits: dedupe on the `(chunk, stage)`
-/// pair (the first cause recorded wins).
-fn push_wait_cause(
-    waits: &mut Vec<(usize, EvKind, WaitCause)>,
-    ch: usize,
-    kind: EvKind,
-    cause: WaitCause,
-) {
-    if !waits.iter().any(|&(w, k, _)| w == ch && k == kind) {
+/// Push a compiled wait onto the list starting at `waits[from]` unless
+/// the list already waits on the same `(chunk, stage)`: exactly one event
+/// exists per chunk per stage, so the first cause recorded wins.
+fn push_wait(waits: &mut Vec<StageWait>, from: usize, ch: usize, kind: EvKind, cause: WaitCause) {
+    if !waits[from..].iter().any(|&(w, k, _)| w == ch && k == kind) {
         waits.push((ch, kind, cause));
     }
 }
@@ -145,10 +146,10 @@ pub enum StreamAssignment {
     LeastLoaded,
 }
 
-/// Ablation switches for the Pipelined-buffer driver (used by the
+/// Ablation switches for the Pipelined-buffer model (used by the
 /// `ablations` bench to quantify each design choice; defaults reproduce
 /// the paper's prototype).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferOptions {
     /// Track slice residency and skip re-copies of halo slices already on
     /// the device. Off = every chunk copies its full window.
@@ -229,7 +230,8 @@ fn estimate_chunk_cost(
     t + p.kernel_time(probe.cost.flops, probe.cost.bytes).as_secs_f64()
 }
 
-/// Resolve the chunk → stream map under the configured policy.
+/// The least-loaded chunk → stream map: each chunk goes to the stream
+/// with the least estimated enqueued work so far.
 fn assign_streams(
     gpu: &Gpu,
     region: &Region,
@@ -237,27 +239,20 @@ fn assign_streams(
     table: &WindowTable,
     views: &[ArrayView],
     builder: &KernelBuilder<'_>,
-    policy: StreamAssignment,
 ) -> Vec<usize> {
-    let ns = plan.num_streams;
-    match policy {
-        StreamAssignment::RoundRobin => (0..plan.chunks.len()).map(|c| c % ns).collect(),
-        StreamAssignment::LeastLoaded => {
-            let mut loads = vec![0.0f64; ns];
-            let mut out = Vec::with_capacity(plan.chunks.len());
-            for (c, &(k0, k1)) in plan.chunks.iter().enumerate() {
-                let cost = estimate_chunk_cost(gpu, region, table, views, builder, c, k0, k1);
-                let (best, _) = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("ns >= 1");
-                loads[best] += cost;
-                out.push(best);
-            }
-            out
-        }
+    let mut loads = vec![0.0f64; plan.num_streams];
+    let mut out = Vec::with_capacity(plan.chunks.len());
+    for (c, &(k0, k1)) in plan.chunks.iter().enumerate() {
+        let cost = estimate_chunk_cost(gpu, region, table, views, builder, c, k0, k1);
+        let (best, _) = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .expect("num_streams >= 1");
+        loads[best] += cost;
+        out.push(best);
     }
+    out
 }
 
 /// With a non-round-robin assignment, the chunks simultaneously in
@@ -297,44 +292,55 @@ fn widen_rings_for_assignment(
         }
         plan.ring_slots[i] = (worst as usize).min(m.split.extent());
     }
-    plan.buffer_bytes = region
-        .spec
-        .maps
-        .iter()
-        .zip(&plan.ring_slots)
-        .map(|(m, &s)| crate::plan::map_buffer_bytes(&m.split, s))
-        .sum();
+    plan.buffer_bytes = slots_bytes(&region.spec, &plan.ring_slots);
+}
+
+/// Every chunk's enqueue recipe, with the waits and runs of all steps
+/// pooled (see [`ChunkStep`]).
+#[derive(Default)]
+struct Recipes {
+    steps: Vec<ChunkStep>,
+    waits: Vec<StageWait>,
+    runs: Vec<SliceRun>,
+    dependents: Vec<(usize, usize)>,
 }
 
 /// Classify every chunk of a resolved plan into its enqueue recipe: the
-/// residency/hazard logic of the Pipelined-buffer driver, run once, with
-/// the device untouched. Returns the per-chunk [`ChunkStep`]s and the
-/// halo-consumer graph (`dependents[c]` = chunks whose kernels read
-/// slices chunk `c` copied).
+/// residency/hazard logic of the ring, run once, with the device
+/// untouched (a direct layout is a ring of `extent` slots). Also records
+/// the halo-consumer edges.
 ///
 /// A compiled wait names `(producing chunk, stage)`; it is only recorded
 /// when that stage will actually record an event (a chunk records an H2D
 /// event iff it has copy runs, a D2H event iff it has drain runs, and
 /// always records a kernel event), so replay can resolve every wait.
-pub(crate) fn classify_chunks(
+fn classify_chunks(
     spec: &RegionSpec,
     plan: &Plan,
     table: &WindowTable,
     chunk_stream: &[usize],
     track_residency: bool,
-) -> (Vec<ChunkStep>, Vec<Vec<usize>>) {
+) -> Recipes {
     let n_chunks = plan.chunks.len();
-    let mut books: Vec<RingBook> = plan.ring_slots.iter().map(|&s| RingBook::new(s)).collect();
-    let mut steps: Vec<ChunkStep> = Vec::with_capacity(n_chunks);
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_chunks];
+    let mut books: Vec<RingBook> = spec
+        .maps
+        .iter()
+        .zip(&plan.ring_slots)
+        .map(|(m, &s)| RingBook::new(s, m.split.extent(), track_residency))
+        .collect();
+    let mut mapped_slots = 0usize;
+    let mut out = Recipes {
+        steps: Vec::with_capacity(n_chunks),
+        ..Recipes::default()
+    };
+    let mut kernel_waits: Vec<StageWait> = Vec::new();
     let mut missing: Vec<i64> = Vec::new();
     let mut runs_scratch: Vec<(i64, usize)> = Vec::new();
     for c in 0..n_chunks {
         let same_stream = |other: usize| chunk_stream[other] == chunk_stream[c];
-        let mut copy_waits: Vec<(usize, EvKind)> = Vec::new();
-        let mut copy_runs: Vec<(usize, i64, usize)> = Vec::new();
-        let mut kernel_waits: Vec<(usize, EvKind, WaitCause)> = Vec::new();
-        let mut out_runs: Vec<(usize, i64, usize)> = Vec::new();
+        let (steps, waits, runs) = (&out.steps, &mut out.waits, &mut out.runs);
+        let (w0, r0, e0) = (waits.len(), runs.len(), out.dependents.len());
+        kernel_waits.clear();
 
         for (i, m) in spec.maps.iter().enumerate() {
             if !m.dir.is_input() {
@@ -351,15 +357,11 @@ pub(crate) fn classify_chunks(
                             && !same_stream(owner)
                             && !steps[owner].copy_runs.is_empty()
                         {
-                            push_wait_cause(
-                                &mut kernel_waits,
-                                owner,
-                                EvKind::H2d,
-                                WaitCause::Dependency,
-                            );
+                            let cause = WaitCause::Dependency;
+                            push_wait(&mut kernel_waits, 0, owner, EvKind::H2d, cause);
                         }
-                        if owner != c && !dependents[owner].contains(&c) {
-                            dependents[owner].push(c);
+                        if owner != c && !out.dependents[e0..].contains(&(owner, c)) {
+                            out.dependents.push((owner, c));
                         }
                     }
                     None => missing.push(sl),
@@ -373,15 +375,17 @@ pub(crate) fn classify_chunks(
                     let rs = &mut book.readers[slot];
                     for &r in rs.iter() {
                         if !same_stream(r) {
-                            push_wait(&mut copy_waits, r, EvKind::Kernel);
+                            push_wait(waits, w0, r, EvKind::Kernel, WaitCause::RingReuse);
                         }
                     }
                     rs.clear();
                     if let Some(w) = book.written_by[slot].take() {
                         if !same_stream(w) && !steps[w].out_runs.is_empty() {
-                            push_wait(&mut copy_waits, w, EvKind::D2h);
+                            push_wait(waits, w0, w, EvKind::D2h, WaitCause::RingReuse);
                         }
                     }
+                } else {
+                    mapped_slots += 1;
                 }
                 book.mapped[slot] = Some(sl);
                 book.copied_by[slot] = Some(c);
@@ -397,7 +401,7 @@ pub(crate) fn classify_chunks(
                     Some(st) => {
                         runs_scratch.clear();
                         slot_runs_into(st, prev + 1, book.slots, &mut runs_scratch);
-                        copy_runs.extend(runs_scratch.iter().map(|&(start, len)| (i, start, len)));
+                        runs.extend(runs_scratch.iter().map(|&(start, len)| (i, start, len)));
                         run_start = Some(sl);
                     }
                     None => run_start = Some(sl),
@@ -407,15 +411,18 @@ pub(crate) fn classify_chunks(
             if let Some(st) = run_start {
                 runs_scratch.clear();
                 slot_runs_into(st, prev + 1, book.slots, &mut runs_scratch);
-                copy_runs.extend(runs_scratch.iter().map(|&(start, len)| (i, start, len)));
+                runs.extend(runs_scratch.iter().map(|&(start, len)| (i, start, len)));
             }
             // This chunk reads all its needed slices.
-            for sl in a..b {
-                let slot = book.slot(sl);
-                debug_assert_eq!(book.mapped[slot], Some(sl));
-                book.readers[slot].push(c);
+            if book.track_readers {
+                for sl in a..b {
+                    let slot = book.slot(sl);
+                    debug_assert_eq!(book.mapped[slot], Some(sl));
+                    book.readers[slot].push(c);
+                }
             }
         }
+        let (w1, r1) = (waits.len(), runs.len());
 
         // Output slots: kernel writes them, so the previous occupant's
         // D2H (and, for ToFrom, any readers) must be complete first.
@@ -429,67 +436,303 @@ pub(crate) fn classify_chunks(
                 let slot = book.slot(sl);
                 match book.mapped[slot] {
                     Some(old) if old != sl => {
+                        let reuse = WaitCause::RingReuse;
                         if let Some(w) = book.written_by[slot].take() {
                             if !same_stream(w) && !steps[w].out_runs.is_empty() {
-                                push_wait_cause(
-                                    &mut kernel_waits,
-                                    w,
-                                    EvKind::D2h,
-                                    WaitCause::RingReuse,
-                                );
+                                push_wait(&mut kernel_waits, 0, w, EvKind::D2h, reuse);
                             }
                         }
                         let rs = &mut book.readers[slot];
                         for &r in rs.iter() {
                             if !same_stream(r) {
-                                push_wait_cause(
-                                    &mut kernel_waits,
-                                    r,
-                                    EvKind::Kernel,
-                                    WaitCause::RingReuse,
-                                );
+                                push_wait(&mut kernel_waits, 0, r, EvKind::Kernel, reuse);
                             }
                         }
                         rs.clear();
                         book.copied_by[slot] = None;
                         book.mapped[slot] = Some(sl);
                     }
-                    None => book.mapped[slot] = Some(sl),
+                    None => {
+                        book.mapped[slot] = Some(sl);
+                        mapped_slots += 1;
+                    }
                     _ => {}
                 }
             }
             // The chunk's drain runs, and ownership of the drained slots.
             runs_scratch.clear();
             slot_runs_into(a, b, book.slots, &mut runs_scratch);
-            out_runs.extend(runs_scratch.iter().map(|&(start, len)| (i, start, len)));
+            runs.extend(runs_scratch.iter().map(|&(start, len)| (i, start, len)));
             for sl in a..b {
                 let slot = book.slot(sl);
                 debug_assert_eq!(book.mapped[slot], Some(sl));
                 book.written_by[slot] = Some(c);
             }
         }
+        waits.extend_from_slice(&kernel_waits);
 
-        let mapped_slots = books
-            .iter()
-            .map(|b| b.mapped.iter().filter(|m| m.is_some()).count())
-            .sum();
-        steps.push(ChunkStep {
+        let step = ChunkStep {
             stream: chunk_stream[c],
-            copy_waits,
-            copy_runs,
-            kernel_waits,
-            out_runs,
+            copy_waits: w0..w1,
+            copy_runs: r0..r1,
+            kernel_waits: w1..waits.len(),
+            out_runs: r1..runs.len(),
             mapped_slots,
-        });
+        };
+        out.steps.push(step);
     }
-    (steps, dependents)
+    out
 }
 
-/// Compile a region into a reusable [`CompiledPlan`] for the
-/// Pipelined-buffer model: resolve the schedule (honouring
-/// `pipeline_mem_limit`), build the window table, assign chunks to
-/// streams, and classify every residency/hazard decision into per-chunk
-/// enqueue recipes.
+/// Host polling charged per enqueue by the Pipelined model, as a
+/// multiple of the device's API overhead per live stream beyond the
+/// second. Models the per-queue polling of an OpenACC async runtime: the
+/// paper observes the hand-pipelined version degrading dramatically as
+/// streams grow (Figure 7) while the prototype, which talks to CUDA
+/// streams directly, stays flat. Calibrated so that, at the paper's
+/// problem sizes, the polling overtakes the device pipeline somewhere
+/// between 4 and 6 streams — the crossover of Figure 7.
+const POLL_FACTOR: f64 = 2.4;
+
+/// Per-enqueue polling charge of the Pipelined model for `num_streams`
+/// live queues.
+fn poll_time(api_overhead: SimTime, num_streams: usize) -> SimTime {
+    let extra = num_streams.saturating_sub(2) as f64;
+    SimTime::from_secs_f64(api_overhead.as_secs_f64() * POLL_FACTOR * extra)
+}
+
+impl PlanKey {
+    /// The key a `model` run of `spec` over `[lo, hi)` compiles against
+    /// (a compiled plan is replayed only for an equal key).
+    /// `Auto` runs the buffered model, and only the buffered model reads
+    /// the buffer options. `sub_range` marks a run over part of a larger
+    /// region: Naive then moves only the windows it needs instead of
+    /// whole arrays, which would clobber outputs other ranges produced.
+    pub(crate) fn new(
+        model: ExecModel,
+        spec: RegionSpec,
+        lo: i64,
+        hi: i64,
+        profile: DeviceProfile,
+        opts: &BufferOptions,
+        sub_range: bool,
+    ) -> PlanKey {
+        let model = match model {
+            ExecModel::Auto => ExecModel::PipelinedBuffer,
+            m => m,
+        };
+        PlanKey {
+            model,
+            spec,
+            lo,
+            hi,
+            profile,
+            options: key_options(model, opts),
+            whole: model == ExecModel::Naive && !sub_range,
+            custom_windows: false,
+        }
+    }
+}
+
+fn key_options(model: ExecModel, opts: &BufferOptions) -> BufferOptions {
+    if model == ExecModel::PipelinedBuffer {
+        *opts
+    } else {
+        BufferOptions::default()
+    }
+}
+
+/// A schedule over full-size arrays: one slot per slice.
+fn direct_plan(spec: &RegionSpec, lo: i64, hi: i64, chunk: usize, streams: usize) -> Plan {
+    Plan {
+        chunk_size: chunk,
+        num_streams: streams,
+        chunks: chunk_ranges(lo, hi, chunk),
+        ring_slots: spec.maps.iter().map(|m| m.split.extent()).collect(),
+        buffer_bytes: spec.maps.iter().map(|m| map_full_bytes(&m.split)).sum(),
+    }
+}
+
+/// Resolve the schedule the key's model runs with.
+fn resolve_for(key: &PlanKey) -> RtResult<Plan> {
+    let (spec, lo, hi) = (&key.spec, key.lo, key.hi);
+    let iters = (hi - lo) as usize;
+    match key.model {
+        ExecModel::Naive => Ok(direct_plan(spec, lo, hi, iters, 1)),
+        ExecModel::Pipelined => {
+            // Chunks on different streams drain their output windows in
+            // nondeterministic order, so the windows must not overlap.
+            validate_sliceable(spec)?;
+            // Full-size arrays do not shrink with the memory limit, so a
+            // static schedule runs as written.
+            let (chunk, streams) = match spec.schedule {
+                Schedule::Static {
+                    chunk_size,
+                    num_streams,
+                } => (chunk_size.min(iters).max(1), num_streams.max(1)),
+                Schedule::Adaptive => {
+                    let p = resolve_plan(spec, &key.profile, lo, hi)?;
+                    (p.chunk_size, p.num_streams)
+                }
+            };
+            Ok(direct_plan(spec, lo, hi, chunk, streams))
+        }
+        ExecModel::PipelinedBuffer | ExecModel::Auto => {
+            let mut plan = resolve_plan(spec, &key.profile, lo, hi)?;
+            if key.options.minimal_slots {
+                plan.ring_slots = spec
+                    .maps
+                    .iter()
+                    .map(|m| ring_slots_min(&m.split, plan.chunk_size))
+                    .collect();
+                plan.buffer_bytes = slots_bytes(spec, &plan.ring_slots);
+            }
+            Ok(plan)
+        }
+    }
+}
+
+fn round_robin(plan: &Plan) -> Vec<usize> {
+    (0..plan.chunks.len())
+        .map(|c| c % plan.num_streams)
+        .collect()
+}
+
+/// Classify a resolved schedule into the key's model: the per-chunk
+/// steps plus the model's plan data.
+fn assemble(
+    key: PlanKey,
+    plan: Plan,
+    table: WindowTable,
+    chunk_stream: Vec<usize>,
+) -> CompiledPlan {
+    let layout = match key.model {
+        ExecModel::PipelinedBuffer | ExecModel::Auto => Layout::Ring,
+        _ if key.whole => Layout::Whole,
+        _ => Layout::Direct,
+    };
+    let recipes = if key.model == ExecModel::Naive {
+        // One chunk has nothing to share or wait for: it copies each
+        // input window (or whole array) in and each output one out.
+        let runs = |keep: fn(MapDir) -> bool| {
+            let maps = key.spec.maps.iter().enumerate();
+            maps.filter(move |(_, m)| keep(m.dir))
+                .map(|(i, m)| match layout {
+                    Layout::Whole => (i, 0, m.split.extent()),
+                    _ => {
+                        let (a, b) = table.ranges[i][0];
+                        (i, a, (b - a) as usize)
+                    }
+                })
+        };
+        let runs: Vec<SliceRun> = runs(MapDir::is_input)
+            .chain(runs(MapDir::is_output))
+            .collect();
+        let n_in = key.spec.maps.iter().filter(|m| m.dir.is_input()).count();
+        let step = ChunkStep {
+            stream: 0,
+            copy_waits: 0..0,
+            copy_runs: 0..n_in,
+            kernel_waits: 0..0,
+            out_runs: n_in..runs.len(),
+            mapped_slots: 0,
+        };
+        Recipes {
+            steps: vec![step],
+            runs,
+            ..Recipes::default()
+        }
+    } else {
+        // Copying every window in full is a ring ablation; full-size
+        // arrays always copy each slice once.
+        let track = layout != Layout::Ring || key.options.track_residency;
+        classify_chunks(&key.spec, &plan, &table, &chunk_stream, track)
+    };
+    let (plan_label, poll) = match key.model {
+        ExecModel::Naive => (None, SimTime::ZERO),
+        ExecModel::Pipelined => (
+            Some(format!(
+                "plan(chunk={}, streams={})",
+                plan.chunk_size, plan.num_streams
+            )),
+            poll_time(key.profile.api_overhead, plan.num_streams),
+        ),
+        _ => (
+            Some(format!(
+                "plan(chunks={}, streams={}, slots={:?})",
+                plan.chunks.len(),
+                plan.num_streams,
+                plan.ring_slots
+            )),
+            SimTime::ZERO,
+        ),
+    };
+    CompiledPlan {
+        model: key.model,
+        sync_each: key.model == ExecModel::Naive,
+        plan,
+        table,
+        chunk_stream,
+        steps: recipes.steps,
+        waits: recipes.waits,
+        runs: recipes.runs,
+        dependents: recipes.dependents,
+        layout,
+        poll,
+        plan_label,
+        key,
+    }
+}
+
+/// Compile a key with round-robin streams, from the device profile
+/// alone — what the cost model compiles, and the default driver path.
+pub(crate) fn compile_key(key: PlanKey) -> RtResult<CompiledPlan> {
+    let plan = resolve_for(&key)?;
+    let table = build_window_table(&key.spec, &plan.chunks, &[])?;
+    let chunk_stream = round_robin(&plan);
+    Ok(assemble(key, plan, table, chunk_stream))
+}
+
+/// Compile the run `key` describes of `region` on `gpu` (validation
+/// already done by the caller).
+pub(crate) fn compile(
+    gpu: &mut Gpu,
+    region: &Region,
+    builder: &KernelBuilder<'_>,
+    key: PlanKey,
+) -> RtResult<CompiledPlan> {
+    if key.options.assignment == StreamAssignment::RoundRobin {
+        return compile_key(key);
+    }
+    let mut plan = resolve_for(&key)?;
+    let table = build_window_table(&key.spec, &plan.chunks, &[])?;
+    // Probe views over a placeholder allocation: builders may consult
+    // views to compute costs, but probe kernels are never executed.
+    let probe = gpu.alloc(1)?;
+    let probe_views: Vec<ArrayView> = region
+        .spec
+        .maps
+        .iter()
+        .map(|m| match &m.split {
+            SplitSpec::OneD { slice_elems, .. } => ArrayView::ring_1d(probe, *slice_elems, 1),
+            SplitSpec::ColBlocks {
+                rows, block_cols, ..
+            } => ArrayView::ring_2d(probe, *block_cols, *block_cols, *rows, 1),
+        })
+        .collect();
+    let chunk_stream = assign_streams(gpu, region, &plan, &table, &probe_views, builder);
+    gpu.free(probe)?;
+    // A non-round-robin assignment widens the set of simultaneously
+    // in-flight chunks, and the rings must cover it or write-after-read
+    // stalls serialize the pipeline.
+    widen_rings_for_assignment(region, &mut plan, &table, &chunk_stream);
+    Ok(assemble(key, plan, table, chunk_stream))
+}
+
+/// Compile a region into a reusable Pipelined-buffer [`CompiledPlan`]:
+/// resolve the schedule (honouring `pipeline_mem_limit`), build the
+/// window table, assign chunks to streams, and classify every
+/// residency/hazard decision into per-chunk enqueue recipes.
 ///
 /// The result can be executed any number of times via
 /// [`RunOptions::with_compiled`](crate::RunOptions::with_compiled) —
@@ -508,192 +751,31 @@ pub fn compile_plan(
     opts: &BufferOptions,
 ) -> RtResult<CompiledPlan> {
     region.validate(gpu)?;
-    compile_impl(gpu, region, builder, opts)
-}
-
-/// [`compile_plan`] body (validation already done by the caller).
-fn compile_impl(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &BufferOptions,
-) -> RtResult<CompiledPlan> {
-    let mut plan = resolve_plan(&region.spec, gpu.profile(), region.lo, region.hi)?;
-    if opts.minimal_slots {
-        plan.ring_slots = region
-            .spec
-            .maps
-            .iter()
-            .map(|m| crate::plan::ring_slots_min(&m.split, plan.chunk_size))
-            .collect();
-        plan.buffer_bytes = region
-            .spec
-            .maps
-            .iter()
-            .zip(&plan.ring_slots)
-            .map(|(m, &s)| crate::plan::map_buffer_bytes(&m.split, s))
-            .sum();
-    }
-    let table = build_window_table(&region.spec, &plan.chunks, &[])?;
-    compile_from_plan(gpu, region, builder, opts, plan, table, false)
-}
-
-/// Compile from an already-resolved plan + window table (shared by the
-/// affine and window-function paths).
-fn compile_from_plan(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &BufferOptions,
-    mut plan: Plan,
-    table: WindowTable,
-    custom_windows: bool,
-) -> RtResult<CompiledPlan> {
-    // Resolve the chunk → stream assignment before sizing rings: a
-    // non-round-robin assignment widens the set of simultaneously
-    // in-flight chunks, and the rings must cover it or write-after-read
-    // stalls serialize the pipeline.
-    let chunk_stream = if opts.assignment == StreamAssignment::RoundRobin {
-        (0..plan.chunks.len())
-            .map(|c| c % plan.num_streams)
-            .collect::<Vec<_>>()
-    } else {
-        // Probe views over a placeholder allocation: builders may consult
-        // views to compute costs, but probe kernels are never executed.
-        let probe = gpu.alloc(1)?;
-        let probe_views: Vec<ArrayView> = region
-            .spec
-            .maps
-            .iter()
-            .map(|m| match &m.split {
-                SplitSpec::OneD { slice_elems, .. } => {
-                    ArrayView::ring_1d(probe, *slice_elems, 1)
-                }
-                SplitSpec::ColBlocks {
-                    rows, block_cols, ..
-                } => ArrayView::ring_2d(probe, *block_cols, *block_cols, *rows, 1),
-            })
-            .collect();
-        let assignment = assign_streams(
-            gpu,
-            region,
-            &plan,
-            &table,
-            &probe_views,
-            builder,
-            opts.assignment,
-        );
-        gpu.free(probe)?;
-        assignment
-    };
-    if opts.assignment != StreamAssignment::RoundRobin {
-        widen_rings_for_assignment(region, &mut plan, &table, &chunk_stream);
-    }
-
-    let (steps, dependents) = classify_chunks(
-        &region.spec,
-        &plan,
-        &table,
-        &chunk_stream,
-        opts.track_residency,
+    let key = PlanKey::new(
+        ExecModel::PipelinedBuffer,
+        region.spec.clone(),
+        region.lo,
+        region.hi,
+        gpu.profile().clone(),
+        opts,
+        false,
     );
-    let plan_label = format!(
-        "plan(chunks={}, streams={}, slots={:?})",
-        plan.chunks.len(),
-        plan.num_streams,
-        plan.ring_slots
-    );
-    let key = PlanKey {
-        spec: region.spec.clone(),
-        lo: region.lo,
-        hi: region.hi,
-        profile: gpu.profile().clone(),
-        track_residency: opts.track_residency,
-        minimal_slots: opts.minimal_slots,
-        assignment: opts.assignment,
-        custom_windows,
-    };
-    Ok(CompiledPlan {
-        plan,
-        table,
-        chunk_stream,
-        steps,
-        dependents,
-        plan_label,
-        key,
-    })
+    compile(gpu, region, builder, key)
 }
 
-/// Is a previously compiled plan valid for this run? Custom-window plans
-/// never match: their table is not derivable from the spec alone.
-fn key_matches(key: &PlanKey, gpu: &Gpu, region: &Region, opts: &BufferOptions) -> bool {
-    !key.custom_windows
-        && key.lo == region.lo
-        && key.hi == region.hi
-        && key.track_residency == opts.track_residency
-        && key.minimal_slots == opts.minimal_slots
-        && key.assignment == opts.assignment
-        && key.spec == region.spec
-        && key.profile == *gpu.profile()
-}
-
-/// The **Pipelined-buffer** model driver proper (affine windows),
-/// optionally with chunk-granular recovery (see module docs).
-///
-/// Respects `pipeline_mem_limit` by shrinking the schedule (see
-/// [`resolve_plan`]); honours static and adaptive schedules; inflates the
-/// kernel cost by the region's `index_overhead` to account for the
-/// runtime's mod-index translation inside kernels (paper §V-D).
-///
-/// Resets the context's activity counters. Compiles a fresh plan every
-/// run; see [`buffer_impl_with`] for the cached-plan fast path.
-pub(crate) fn buffer_impl(
-    gpu: &mut Gpu,
+/// Compile a region with **explicit dependency functions** — the paper's
+/// §VII "function-based extension that allows the developer to pass in a
+/// function pointer" for dependencies the affine clause syntax cannot
+/// express. `windows[i]`, when present, overrides map `i`'s affine
+/// window: given a chunk `[k0, k1)` it returns the slice range `[a, b)`
+/// that must be resident. Ring capacities are derived from the actual
+/// per-chunk table. The public entry point is
+/// [`crate::run::run_window_fn`].
+pub(crate) fn compile_window_fn(
+    gpu: &Gpu,
     region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &BufferOptions,
-    recovery: Option<&RecoveryCtx<'_>>,
-) -> RtResult<DriverOutcome> {
-    buffer_impl_with(gpu, region, builder, opts, recovery, None)
-}
-
-/// [`buffer_impl`] with an optional pre-compiled plan: when the plan's
-/// key matches this run, replay it directly (zero planning work);
-/// otherwise compile fresh — a stale plan can cost time, never
-/// correctness.
-pub(crate) fn buffer_impl_with(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &BufferOptions,
-    recovery: Option<&RecoveryCtx<'_>>,
-    compiled: Option<&CompiledPlan>,
-) -> RtResult<DriverOutcome> {
-    region.validate(gpu)?;
-    if let Some(cp) = compiled {
-        if key_matches(&cp.key, gpu, region, opts) {
-            return execute_compiled(gpu, region, builder, cp, recovery, true);
-        }
-    }
-    let cp = compile_impl(gpu, region, builder, opts)?;
-    execute_compiled(gpu, region, builder, &cp, recovery, false)
-}
-
-/// Driver for regions with **explicit dependency functions** — the
-/// paper's §VII "function-based extension that allows the developer to
-/// pass in a function pointer" for dependencies the affine clause syntax
-/// cannot express. `windows[i]`, when present, overrides map `i`'s
-/// affine window: given a chunk `[k0, k1)` it returns the slice range
-/// `[a, b)` that must be resident. Ring capacities are derived from the
-/// actual per-chunk table. Optionally runs with recovery; the public
-/// entry point is [`crate::run::run_window_fn`].
-pub(crate) fn buffer_fn_impl(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
     windows: &[Option<&WindowFn<'_>>],
-    recovery: Option<&RecoveryCtx<'_>>,
-) -> RtResult<DriverOutcome> {
+) -> RtResult<CompiledPlan> {
     region.validate_binding(gpu)?;
     let (plan, table) = resolve_plan_fn(
         &region.spec,
@@ -702,408 +784,18 @@ pub(crate) fn buffer_fn_impl(
         region.hi,
         windows,
     )?;
-    let cp = compile_from_plan(
-        gpu,
-        region,
-        builder,
-        &BufferOptions::default(),
-        plan,
-        table,
-        true,
-    )?;
-    execute_compiled(gpu, region, builder, &cp, recovery, false)
-}
-
-/// Resolve a compiled `(chunk, stage)` wait to the live event recorded
-/// during this replay.
-fn compiled_event(
-    h2d_ev: &[Option<EventId>],
-    kernel_ev: &[Option<EventId>],
-    d2h_ev: &[Option<EventId>],
-    ch: usize,
-    kind: EvKind,
-) -> EventId {
-    match kind {
-        EvKind::H2d => h2d_ev[ch],
-        EvKind::Kernel => kernel_ev[ch],
-        EvKind::D2h => d2h_ev[ch],
-    }
-    .expect("compiled wait references a stage that records an event")
-}
-
-/// Replay a [`CompiledPlan`]: allocate rings and streams, then issue the
-/// pre-classified per-chunk enqueue sequences. The only host work per
-/// chunk is the kernel builder call and the raw enqueues — every
-/// residency, hazard and run-grouping decision was made at compile time.
-fn execute_compiled(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    cp: &CompiledPlan,
-    recovery: Option<&RecoveryCtx<'_>>,
-    plan_reused: bool,
-) -> RtResult<DriverOutcome> {
-    let plan = &cp.plan;
-    let table = &cp.table;
-    gpu.reset_counters();
-    let t0 = gpu.now();
-    if gpu.timeline_enabled() {
-        gpu.push_host_span(cp.plan_label.clone(), HostSpanKind::Plan, t0, t0);
-    }
-
-    // --- Allocate ring buffers and build ring views --------------------
-    let n_maps = region.spec.maps.len();
-    let mut views: Vec<ArrayView> = Vec::with_capacity(n_maps);
-    for (m, &slots) in region.spec.maps.iter().zip(&plan.ring_slots) {
-        let alloc = match &m.split {
-            SplitSpec::OneD { slice_elems, .. } => gpu
-                .alloc(slots * slice_elems)
-                .map(|ptr| ArrayView::ring_1d(ptr, *slice_elems, slots)),
-            SplitSpec::ColBlocks {
-                rows, block_cols, ..
-            } => gpu
-                .alloc_pitched(*rows, slots * block_cols)
-                .map(|(ptr, pitch)| ArrayView::ring_2d(ptr, pitch, *block_cols, *rows, slots)),
-        };
-        match alloc {
-            Ok(v) => views.push(v),
-            Err(e) => {
-                // Roll back partial ring allocations on failure.
-                for v in &views {
-                    let _ = gpu.free(v.base());
-                }
-                return Err(e.into());
-            }
-        }
-    }
-
-    let streams: Vec<StreamId> = match (0..plan.num_streams)
-        .map(|_| gpu.create_stream())
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(s) => s,
-        Err(e) => {
-            for v in &views {
-                let _ = gpu.free(v.base());
-            }
-            return Err(e.into());
-        }
-    };
-    let gpu_mem = gpu.current_mem();
-
-    let n_chunks = plan.chunks.len();
-    let mut h2d_ev: Vec<Option<EventId>> = vec![None; n_chunks];
-    let mut kernel_ev: Vec<Option<EventId>> = vec![None; n_chunks];
-    let mut d2h_ev: Vec<Option<EventId>> = vec![None; n_chunks];
-
-    // Ring-slot occupancy over host time (mapped slots across all rings,
-    // precomputed per chunk at compile time) — a counter track in the
-    // trace export.
-    let mut occupancy: Vec<(u64, f64)> = Vec::new();
-    if gpu.timeline_enabled() {
-        occupancy.push((gpu.now().as_ns(), 0.0));
-    }
-
-    // Per-chunk enqueue-sequence ranges (failure → chunk lookup).
-    let mut chunk_seqs: Vec<(u64, u64)> = Vec::with_capacity(n_chunks);
-
-    let mut recovery_stats = RecoveryStats::default();
-    let mut retry_samples: Vec<(u64, f64)> = Vec::new();
-    let mut exhausted = None;
-    // Per-chunk scratch, hoisted so steady-state chunks reuse capacity.
-    let mut chunk_ranges: Vec<(i64, i64)> = Vec::new();
-    let body = (|| -> RtResult<()> {
-    for (c, step) in cp.steps.iter().enumerate() {
-        let (k0, k1) = plan.chunks[c];
-        let s = streams[step.stream];
-        let seq0 = gpu.next_seq();
-
-        // Eviction hazards are, by definition, ring-slot reuse stalls.
-        for &(ch, kind) in &step.copy_waits {
-            let e = compiled_event(&h2d_ev, &kernel_ev, &d2h_ev, ch, kind);
-            gpu.wait_event_with_cause(s, e, WaitCause::RingReuse)?;
-        }
-        for &(i, start, len) in &step.copy_runs {
-            enqueue_h2d_ring(gpu, region, &views[i], i, start, len, s)?;
-        }
-        if !step.copy_runs.is_empty() {
-            let e = gpu.create_event();
-            gpu.record_event(s, e)?;
-            h2d_ev[c] = Some(e);
-        }
-
-        for &(ch, kind, cause) in &step.kernel_waits {
-            let e = compiled_event(&h2d_ev, &kernel_ev, &d2h_ev, ch, kind);
-            gpu.wait_event_with_cause(s, e, cause)?;
-        }
-        let ctx = ChunkCtx {
-            k0,
-            k1,
-            views: views.clone(),
-        };
-        let mut kernel = builder(&ctx);
-        // Mod-index translation adds instructions *and* address-generation
-        // pressure, so both roofline terms inflate.
-        let infl = 1.0 + region.spec.index_overhead;
-        kernel.cost.flops = (kernel.cost.flops as f64 * infl) as u64;
-        kernel.cost.bytes = (kernel.cost.bytes as f64 * infl) as u64;
-        chunk_ranges.clear();
-        chunk_ranges.extend((0..n_maps).map(|i| table.ranges[i][c]));
-        let kernel = declare_accesses(gpu, kernel, region, &views, &chunk_ranges);
-        gpu.launch(s, kernel)?;
-        let ke = gpu.create_event();
-        gpu.record_event(s, ke)?;
-        kernel_ev[c] = Some(ke);
-
-        for &(i, start, len) in &step.out_runs {
-            enqueue_d2h_ring(gpu, region, &views[i], i, start, len, s)?;
-        }
-        if !step.out_runs.is_empty() {
-            let e = gpu.create_event();
-            gpu.record_event(s, e)?;
-            d2h_ev[c] = Some(e);
-        }
-        chunk_seqs.push((seq0, gpu.next_seq()));
-        if gpu.timeline_enabled() {
-            occupancy.push((gpu.now().as_ns(), step.mapped_slots as f64));
-        }
-    }
-
-    match recovery.filter(|r| r.policy.enabled()) {
-        None => gpu.synchronize()?,
-        Some(rctx) => {
-            let drained = drain_with_recovery(
-                gpu,
-                ExecModel::PipelinedBuffer,
-                region,
-                rctx,
-                &plan.chunks,
-                &chunk_seqs,
-                &cp.dependents,
-                |gpu, c| {
-                    // Re-enqueue the chunk's full triplet into the *same*
-                    // ring slots (the slice → slot map is static). The
-                    // device is drained before each reissue, so
-                    // overwriting slots that later chunks used is safe —
-                    // their results are already on the host.
-                    let (k0, k1) = plan.chunks[c];
-                    let s = streams[cp.chunk_stream[c]];
-                    let mut n = 0u64;
-                    for (i, m) in region.spec.maps.iter().enumerate() {
-                        if !m.dir.is_input() {
-                            continue;
-                        }
-                        let (a, b) = table.ranges[i][c];
-                        for (start, len) in slot_runs(a, b, plan.ring_slots[i]) {
-                            enqueue_h2d_ring(gpu, region, &views[i], i, start, len, s)?;
-                            n += 1;
-                        }
-                    }
-                    let ctx = ChunkCtx {
-                        k0,
-                        k1,
-                        views: views.clone(),
-                    };
-                    let mut kernel = builder(&ctx);
-                    let infl = 1.0 + region.spec.index_overhead;
-                    kernel.cost.flops = (kernel.cost.flops as f64 * infl) as u64;
-                    kernel.cost.bytes = (kernel.cost.bytes as f64 * infl) as u64;
-                    let chunk_ranges: Vec<(i64, i64)> =
-                        (0..n_maps).map(|i| table.ranges[i][c]).collect();
-                    let kernel = declare_accesses(gpu, kernel, region, &views, &chunk_ranges);
-                    gpu.launch(s, kernel)?;
-                    n += 1;
-                    for (i, m) in region.spec.maps.iter().enumerate() {
-                        if !m.dir.is_output() {
-                            continue;
-                        }
-                        let (a, b) = table.ranges[i][c];
-                        for (start, len) in slot_runs(a, b, plan.ring_slots[i]) {
-                            enqueue_d2h_ring(gpu, region, &views[i], i, start, len, s)?;
-                            n += 1;
-                        }
-                    }
-                    Ok(n)
-                },
-            )?;
-            match drained {
-                DrainResult::Clean {
-                    stats,
-                    retry_samples: rs,
-                } => {
-                    recovery_stats = stats;
-                    retry_samples = rs;
-                }
-                DrainResult::Exhausted {
-                    chunk,
-                    stage,
-                    attempts,
-                    source,
-                    open,
-                    stats,
-                } => {
-                    recovery_stats = stats;
-                    exhausted = Some((chunk, stage, attempts, source, open));
-                }
-            }
-        }
-    }
-    Ok(())
-    })();
-    if let Err(e) = body {
-        // A failed run must not bleed into whatever runs next on this
-        // device: drain the in-flight work, drop its failure records, and
-        // release the rings so a whole-run retry (or the caller's next
-        // run) starts from a clean device.
-        while gpu.synchronize().is_err() {}
-        let _ = gpu.take_failures();
-        for &s in &streams {
-            let _ = gpu.destroy_stream(s);
-        }
-        for v in &views {
-            let _ = gpu.free(v.base());
-        }
-        return Err(e);
-    }
-
-    let total = gpu.now() - t0;
-    let mut report = RunReport::from_gpu(
+    let mut key = PlanKey::new(
         ExecModel::PipelinedBuffer,
-        total,
-        gpu,
-        gpu_mem,
-        plan.buffer_bytes,
-        n_chunks,
-        plan.num_streams,
+        region.spec.clone(),
+        region.lo,
+        region.hi,
+        gpu.profile().clone(),
+        &BufferOptions::default(),
+        false,
     );
-    // Report the logical workload: reissues are recovery overhead, not
-    // extra work, so a recovered run matches a fault-free one.
-    report.commands = report.commands.saturating_sub(recovery_stats.reissued_commands);
-    report.recovery = recovery_stats;
-    report.plan_reused = plan_reused;
-    if gpu.timeline_enabled() {
-        report.counter_tracks.push(CounterTrack {
-            name: "ring_slot_occupancy".into(),
-            samples: occupancy,
-        });
-        if !retry_samples.is_empty() {
-            report.counter_tracks.push(CounterTrack {
-                name: "retries_in_flight".into(),
-                samples: retry_samples,
-            });
-        }
-    }
-    for s in streams {
-        gpu.destroy_stream(s)?;
-    }
-    for v in &views {
-        gpu.free(v.base())?;
-    }
-    match exhausted {
-        None => Ok(DriverOutcome::Done(report)),
-        Some((chunk, stage, attempts, source, open)) => Ok(DriverOutcome::Exhausted {
-            unfinished: open.into_iter().map(|c| plan.chunks[c]).collect(),
-            report,
-            chunk,
-            stage,
-            attempts,
-            source,
-        }),
-    }
-}
-
-/// Copy slices `[start, start+len)` of map `i` from the host array into
-/// their (contiguous) ring slots.
-fn enqueue_h2d_ring(
-    gpu: &mut Gpu,
-    region: &Region,
-    view: &ArrayView,
-    i: usize,
-    start: i64,
-    len: usize,
-    stream: StreamId,
-) -> RtResult<()> {
-    let m = &region.spec.maps[i];
-    let host = region.arrays[i];
-    match &m.split {
-        SplitSpec::OneD { slice_elems, .. } => {
-            gpu.memcpy_h2d_async(
-                stream,
-                host,
-                start as usize * slice_elems,
-                view.slice_ptr(start),
-                len * slice_elems,
-            )?;
-        }
-        SplitSpec::ColBlocks {
-            rows,
-            block_cols,
-            row_stride,
-            ..
-        } => {
-            let (dev, stride) = view.block_ptr(start);
-            gpu.memcpy2d_h2d_async(
-                stream,
-                Copy2D {
-                    rows: *rows,
-                    row_elems: len * block_cols,
-                    host,
-                    host_off: start as usize * block_cols,
-                    host_stride: *row_stride,
-                    dev,
-                    dev_stride: stride,
-                },
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Copy slices `[start, start+len)` of map `i` from their ring slots back
-/// to the host array.
-fn enqueue_d2h_ring(
-    gpu: &mut Gpu,
-    region: &Region,
-    view: &ArrayView,
-    i: usize,
-    start: i64,
-    len: usize,
-    stream: StreamId,
-) -> RtResult<()> {
-    let m = &region.spec.maps[i];
-    let host = region.arrays[i];
-    match &m.split {
-        SplitSpec::OneD { slice_elems, .. } => {
-            gpu.memcpy_d2h_async(
-                stream,
-                view.slice_ptr(start),
-                len * slice_elems,
-                host,
-                start as usize * slice_elems,
-            )?;
-        }
-        SplitSpec::ColBlocks {
-            rows,
-            block_cols,
-            row_stride,
-            ..
-        } => {
-            let (dev, stride) = view.block_ptr(start);
-            gpu.memcpy2d_d2h_async(
-                stream,
-                Copy2D {
-                    rows: *rows,
-                    row_elems: len * block_cols,
-                    host,
-                    host_off: start as usize * block_cols,
-                    host_stride: *row_stride,
-                    dev,
-                    dev_stride: stride,
-                },
-            )?;
-        }
-    }
-    Ok(())
+    key.custom_windows = true;
+    let chunk_stream = round_robin(&plan);
+    Ok(assemble(key, plan, table, chunk_stream))
 }
 
 #[cfg(test)]
@@ -1124,14 +816,19 @@ mod tests {
 
     #[test]
     fn push_wait_dedupes_on_chunk_and_stage() {
-        let mut v = Vec::new();
-        push_wait(&mut v, 3, EvKind::Kernel);
-        push_wait(&mut v, 3, EvKind::Kernel);
-        push_wait(&mut v, 3, EvKind::D2h);
-        assert_eq!(v, vec![(3, EvKind::Kernel), (3, EvKind::D2h)]);
-        let mut w = Vec::new();
-        push_wait_cause(&mut w, 1, EvKind::H2d, WaitCause::Dependency);
-        push_wait_cause(&mut w, 1, EvKind::H2d, WaitCause::RingReuse);
-        assert_eq!(w, vec![(1, EvKind::H2d, WaitCause::Dependency)]);
+        let (dep, reuse) = (WaitCause::Dependency, WaitCause::RingReuse);
+        let mut v = vec![(3, EvKind::Kernel, reuse)];
+        push_wait(&mut v, 0, 3, EvKind::Kernel, dep);
+        push_wait(&mut v, 0, 3, EvKind::D2h, dep);
+        // Only the list from `from` on counts.
+        push_wait(&mut v, 2, 3, EvKind::Kernel, dep);
+        assert_eq!(
+            v,
+            vec![
+                (3, EvKind::Kernel, reuse),
+                (3, EvKind::D2h, dep),
+                (3, EvKind::Kernel, dep)
+            ]
+        );
     }
 }

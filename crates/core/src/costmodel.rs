@@ -6,7 +6,8 @@
 //! [`ExecModel`] directly from the [`DeviceProfile`] constants (bandwidth
 //! ramp, API overhead, dispatch cost, duplex factor) and the
 //! [`RegionSpec`](crate::RegionSpec) shape. The estimate is a **forward
-//! recurrence** over the driver's exact enqueue order: per command,
+//! recurrence** over the [`CompiledPlan`] the executor would replay —
+//! the same compiler, so the same commands in the same order: per command,
 //! `start = max(host clock, stream ready, engine free)` and
 //! `end = start + dispatch + duration`, with the host clock advancing by
 //! the per-call API overhead. No event queue, no reordering, no device
@@ -35,16 +36,19 @@
 //! [`run_model_online`] feeds the stall attributor's verdict back into
 //! [`ModelTuner`] to re-pick the chunk size between iterations.
 
+use std::sync::Arc;
+
 use gpsim::{
     DeviceProfile, ExecMode, Gpu, HostPool, KernelCost, SimTime, StallCause, ELEM_BYTES,
 };
 
 use crate::autotune::{Trial, TuneResult, TuneSpace};
-use crate::buffer::{buffer_impl_with, classify_chunks, compile_plan, BufferOptions};
+use crate::buffer::{compile_key, compile_plan, BufferOptions};
 use crate::error::{RtError, RtResult};
-use crate::exec::{expect_done, KernelBuilder, PipelinedOptions, Region};
-use crate::plan::{build_window_table, chunk_ranges, resolve_plan, CompiledPlan};
+use crate::exec::{expect_done, run_plan, KernelBuilder, Region};
+use crate::plan::{CompiledPlan, EvKind, PlanKey, SliceRun, StageWait};
 use crate::report::{ExecModel, RunReport};
+use crate::run::RunOptions;
 use crate::spec::{Schedule, SplitSpec};
 use crate::view::{ArrayView, ChunkCtx};
 
@@ -430,16 +434,7 @@ impl<'a> CostModel<'a> {
         self.profile.kernel_time(flops, bytes).as_secs_f64() * self.calibration.kernel
     }
 
-    /// H2D seconds for `slices` consecutive slices of map `i`.
-    fn h2d_secs(&self, i: usize, slices: usize) -> f64 {
-        self.dma_secs(i, slices, true)
-    }
-
-    /// D2H seconds for `slices` consecutive slices of map `i`.
-    fn d2h_secs(&self, i: usize, slices: usize) -> f64 {
-        self.dma_secs(i, slices, false)
-    }
-
+    /// Transfer seconds for `slices` consecutive slices of map `i`.
     fn dma_secs(&self, i: usize, slices: usize, h2d: bool) -> f64 {
         let pinned = self.pinned[i];
         let p = &self.profile;
@@ -473,228 +468,120 @@ impl<'a> CostModel<'a> {
 
     /// Predict the makespan of this region under `model` with the given
     /// requested schedule (`chunk`/`streams` are ignored by
-    /// [`ExecModel::Naive`]). Buffered predictions resolve the plan
-    /// first, so `pipeline_mem_limit` shrinking is mirrored exactly;
-    /// an infeasible limit surfaces as
-    /// [`RtError::MemLimitInfeasible`](crate::RtError).
+    /// [`ExecModel::Naive`], which reports the unit schedule like its
+    /// run report). The region is compiled exactly as a run would be, so
+    /// `pipeline_mem_limit` shrinking is mirrored exactly; an infeasible
+    /// limit surfaces as [`RtError::MemLimitInfeasible`](crate::RtError).
     pub fn predict(&self, model: ExecModel, chunk: usize, streams: usize) -> RtResult<Prediction> {
-        match model {
-            ExecModel::Naive => Ok(self.predict_naive()),
-            ExecModel::Pipelined => Ok(self.predict_pipelined(chunk, streams)),
-            ExecModel::PipelinedBuffer | ExecModel::Auto => self.predict_buffer(chunk, streams),
-        }
-    }
-
-    /// Naive model: allocs, synchronous full copies, one kernel, all on
-    /// the default stream — an exact serial recurrence.
-    fn predict_naive(&self) -> Prediction {
-        let region = self.region;
-        let spec = &region.spec;
-        let mut w = Walk::new(&self.profile, &self.calibration, 1, 1);
-        for _ in &spec.maps {
-            w.api_call(); // alloc per map
-        }
-        for (i, m) in spec.maps.iter().enumerate() {
-            if m.dir.is_input() {
-                w.copy(0, self.h2d_secs(i, m.split.extent()), true);
-                w.stream_sync(0);
-            }
-        }
-        w.launch(0, self.kernel_secs(region.lo, region.hi, 1.0));
-        w.stream_sync(0);
-        for (i, m) in spec.maps.iter().enumerate() {
-            if m.dir.is_output() {
-                w.copy(0, self.d2h_secs(i, m.split.extent()), false);
-                w.stream_sync(0);
-            }
-        }
-        // The driver ends without a device-wide synchronize (the last
-        // stream_synchronize drained everything), so drop the one
-        // `sync_all` would add.
-        let extra = SimTime::from_secs_f64(
-            self.profile.api_overhead.as_secs_f64() * self.calibration.host,
-        );
-        let mut pred = w.finish(ExecModel::Naive, 1, 1);
-        pred.total -= extra;
-        pred.host_api -= extra;
-        pred
-    }
-
-    /// Pipelined model: full-size device arrays, disjoint input coverage
-    /// via per-map high-water marks, per-enqueue polling charge — the
-    /// recurrence mirrors the driver's loop shape exactly.
-    fn predict_pipelined(&self, chunk: usize, streams: usize) -> Prediction {
-        let region = self.region;
-        let spec = &region.spec;
-        let iters = (region.hi - region.lo).max(0) as usize;
-        let chunk = chunk.min(iters.max(1)).max(1);
-        let ns = streams.max(1);
-        let chunks = chunk_ranges(region.lo, region.hi, chunk);
-        let poll = PipelinedOptions::default()
-            .poll_time(self.profile.api_overhead, ns)
-            .as_secs_f64()
-            * self.calibration.host;
-
-        // Per-map copy state, replicating the driver exactly: a high-water
-        // mark (inputs are copied in disjoint [hwm, b) extensions) and a
-        // per-slice owner map (which chunk's copy brought each slice in).
-        let bases: Vec<i64> = spec
-            .maps
-            .iter()
-            .map(|m| m.split.needed_slices(region.lo, region.hi).0)
-            .collect();
-
-        let run_pass = |prev: Option<EngineIvals>| -> Walk {
-            let mut w = Walk::new(&self.profile, &self.calibration, ns + 1, ns);
-            w.prev = prev;
-            for _ in &spec.maps {
-                w.api_call(); // alloc per map
-            }
-            for _ in 0..ns {
-                w.api_call(); // create_stream
-            }
-            let mut hwm = bases.clone();
-            let mut owner: Vec<Vec<usize>> = spec
-                .maps
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let (a, b) = m.split.needed_slices(region.lo, region.hi);
-                    debug_assert_eq!(a, bases[i]);
-                    vec![usize::MAX; (b - a).max(0) as usize]
-                })
-                .collect();
-            // h2d event time per chunk (None = chunk copied nothing).
-            let mut h2d_event: Vec<Option<f64>> = vec![None; chunks.len()];
-
-            for (c, &(k0, k1)) in chunks.iter().enumerate() {
-                let s = c % ns;
-                let mut copied_any = false;
-                for (i, m) in spec.maps.iter().enumerate() {
-                    if !m.dir.is_input() {
-                        continue;
-                    }
-                    let (_, b) = m.split.needed_slices(k0, k1);
-                    if hwm[i] >= b {
-                        continue;
-                    }
-                    w.copy(s, self.h2d_secs(i, (b - hwm[i]) as usize), true);
-                    w.host_busy(poll);
-                    for sl in hwm[i]..b {
-                        owner[i][(sl - bases[i]) as usize] = c;
-                    }
-                    hwm[i] = b;
-                    copied_any = true;
-                }
-                if copied_any {
-                    let t = w.create_record(s);
-                    w.host_busy(poll);
-                    h2d_event[c] = Some(t);
-                }
-                // Cross-stream RAW waits: owners of our window's slices
-                // that ran on a different stream.
-                let mut waits: Vec<usize> = Vec::new();
-                for (i, m) in spec.maps.iter().enumerate() {
-                    if !m.dir.is_input() {
-                        continue;
-                    }
-                    let (a, b) = m.split.needed_slices(k0, k1);
-                    for sl in a..b {
-                        let o = owner[i][(sl - bases[i]) as usize];
-                        if o != usize::MAX && o != c && o % ns != s && !waits.contains(&o) {
-                            waits.push(o);
-                        }
-                    }
-                }
-                for &o in &waits {
-                    if let Some(t) = h2d_event[o] {
-                        w.wait(s, t);
-                        w.host_busy(poll);
-                    }
-                }
-                w.launch(s, self.kernel_secs(k0, k1, 1.0));
-                w.host_busy(poll);
-                for (i, m) in spec.maps.iter().enumerate() {
-                    if !m.dir.is_output() {
-                        continue;
-                    }
-                    let (a, b) = m.split.needed_slices(k0, k1);
-                    if b > a {
-                        w.copy(s, self.d2h_secs(i, (b - a) as usize), false);
-                        w.host_busy(poll);
-                    }
-                }
-            }
-            w
-        };
-        fixed_point(run_pass).finish(ExecModel::Pipelined, chunk, ns)
-    }
-
-    /// Pipelined-buffer model: resolve the plan (mem-limit shrinking and
-    /// all), classify the chunks with the *driver's own* classifier, and
-    /// walk the compiled steps — so the recurrence sees the exact
-    /// command sequence replay would issue.
-    fn predict_buffer(&self, chunk: usize, streams: usize) -> RtResult<Prediction> {
         let region = self.region;
         let mut spec = region.spec.clone();
         spec.schedule = Schedule::static_(chunk, streams);
-        let plan = resolve_plan(&spec, &self.profile, region.lo, region.hi)?;
-        let table = build_window_table(&spec, &plan.chunks, &[])?;
-        let ns = plan.num_streams;
-        let chunk_stream: Vec<usize> = (0..plan.chunks.len()).map(|c| c % ns).collect();
-        let (steps, _) = classify_chunks(&spec, &plan, &table, &chunk_stream, true);
-        let infl = 1.0 + spec.index_overhead;
+        let key = PlanKey::new(
+            model,
+            spec,
+            region.lo,
+            region.hi,
+            self.profile.clone(),
+            &BufferOptions::default(),
+            false,
+        );
+        let mut p = self.walk(&compile_key(key)?);
+        if model == ExecModel::Naive {
+            p.chunk_size = 1;
+        }
+        Ok(p)
+    }
+
+    /// The plan's commands in issue order, each on its stream lane with
+    /// its duration resolved — computed once per prediction, so the
+    /// fixed-point passes only rerun the recurrence.
+    fn tape(&self, cp: &CompiledPlan) -> Vec<(usize, Cmd)> {
+        let infl = cp.kernel_inflation();
+        let mut tape = Vec::new();
+        for (c, step) in cp.steps.iter().enumerate() {
+            let (k0, k1) = cp.plan.chunks[c];
+            let s = step.stream;
+            let copy = |&(i, _, len): &SliceRun, h2d: bool| {
+                (s, Cmd::Copy(self.dma_secs(i, len, h2d), h2d))
+            };
+            let wait = |&(ch, kind, _): &StageWait| (s, Cmd::Wait(ch, kind));
+            tape.extend(cp.copy_waits(step).iter().map(wait));
+            tape.extend(cp.copy_runs(step).iter().map(|r| copy(r, true)));
+            if cp.records(step, EvKind::H2d) {
+                tape.push((s, Cmd::Record(c, EvKind::H2d)));
+            }
+            tape.extend(cp.kernel_waits(step).iter().map(wait));
+            tape.push((s, Cmd::Launch(self.kernel_secs(k0, k1, infl))));
+            if cp.records(step, EvKind::Kernel) {
+                tape.push((s, Cmd::Record(c, EvKind::Kernel)));
+            }
+            tape.extend(cp.out_runs(step).iter().map(|r| copy(r, false)));
+            if cp.records(step, EvKind::D2h) {
+                tape.push((s, Cmd::Record(c, EvKind::D2h)));
+            }
+        }
+        tape
+    }
+
+    /// Walk a compiled plan: run the recurrence over its tape to a fixed
+    /// point.
+    fn walk(&self, cp: &CompiledPlan) -> Prediction {
+        let ns = cp.plan.num_streams;
+        let created = cp.created_streams();
+        let poll = cp.poll.as_secs_f64() * self.calibration.host;
+        let tape = self.tape(cp);
 
         let run_pass = |prev: Option<EngineIvals>| -> Walk {
-            let mut w = Walk::new(&self.profile, &self.calibration, ns + 1, ns);
+            let mut w = Walk::new(&self.profile, &self.calibration, created + 1, ns);
             w.prev = prev;
-            for _ in &spec.maps {
-                w.api_call(); // ring alloc per map
+            // One allocation per map, then the stream creations.
+            for _ in 0..self.region.spec.maps.len() + created {
+                w.api_call();
             }
-            for _ in 0..ns {
-                w.api_call(); // create_stream
-            }
-
-            let mut h2d_event: Vec<Option<f64>> = vec![None; plan.chunks.len()];
-            let mut kernel_event: Vec<f64> = vec![0.0; plan.chunks.len()];
-            let mut d2h_event: Vec<Option<f64>> = vec![None; plan.chunks.len()];
-            let ev =
-                |h2d: &[Option<f64>], k: &[f64], d2h: &[Option<f64>], ch: usize, kind| match kind {
-                    crate::plan::EvKind::H2d => h2d[ch].unwrap_or(0.0),
-                    crate::plan::EvKind::Kernel => k[ch],
-                    crate::plan::EvKind::D2h => d2h[ch].unwrap_or(0.0),
-                };
-
-            for (c, step) in steps.iter().enumerate() {
-                let (k0, k1) = plan.chunks[c];
-                let s = step.stream;
-                for &(ch, kind) in &step.copy_waits {
-                    let t = ev(&h2d_event, &kernel_event, &d2h_event, ch, kind);
-                    w.wait(s, t);
+            let mut events = vec![[0.0f64; 3]; cp.steps.len()];
+            for &(s, cmd) in &tape {
+                match cmd {
+                    Cmd::Wait(ch, kind) => w.wait(s, events[ch][kind as usize]),
+                    Cmd::Copy(dur, h2d) => w.copy(s, dur, h2d),
+                    Cmd::Launch(dur) => w.launch(s, dur),
+                    Cmd::Record(c, kind) => events[c][kind as usize] = w.create_record(s),
                 }
-                for &(i, _, len) in &step.copy_runs {
-                    w.copy(s, self.h2d_secs(i, len), true);
+                if poll > 0.0 {
+                    w.host_busy(poll);
                 }
-                if !step.copy_runs.is_empty() {
-                    h2d_event[c] = Some(w.create_record(s));
-                }
-                for &(ch, kind, _) in &step.kernel_waits {
-                    let t = ev(&h2d_event, &kernel_event, &d2h_event, ch, kind);
-                    w.wait(s, t);
-                }
-                w.launch(s, self.kernel_secs(k0, k1, infl));
-                kernel_event[c] = w.create_record(s);
-                for &(i, _, len) in &step.out_runs {
-                    w.copy(s, self.d2h_secs(i, len), false);
-                }
-                if !step.out_runs.is_empty() {
-                    d2h_event[c] = Some(w.create_record(s));
+                if cp.sync_each && matches!(cmd, Cmd::Copy(..) | Cmd::Launch(_)) {
+                    w.stream_sync(s);
                 }
             }
             w
         };
-        Ok(fixed_point(run_pass).finish(ExecModel::PipelinedBuffer, plan.chunk_size, ns))
+        let mut pred = fixed_point(run_pass).finish(cp.model, cp.plan.chunk_size, ns);
+        if cp.sync_each {
+            // A synchronous run ends without a device-wide synchronize
+            // (its last stream_synchronize drained everything), so drop
+            // the one `finish` adds.
+            let extra = SimTime::from_secs_f64(
+                self.profile.api_overhead.as_secs_f64() * self.calibration.host,
+            );
+            pred.total -= extra;
+            pred.host_api -= extra;
+        }
+        pred
     }
+}
+
+/// One command of a compiled plan with its duration resolved: what the
+/// fixed-point passes replay.
+#[derive(Debug, Clone, Copy)]
+enum Cmd {
+    /// Wait for `(chunk, stage)`'s event.
+    Wait(usize, EvKind),
+    /// A copy of the given base duration (`true` = host→device).
+    Copy(f64, bool),
+    /// A kernel of the given base duration.
+    Launch(f64),
+    /// Create and record `(chunk, stage)`'s event.
+    Record(usize, EvKind),
 }
 
 /// Run up to three walk passes, feeding each pass the previous pass's
@@ -883,8 +770,7 @@ pub fn run_model_online(
     let mut tuner = ModelTuner::new(gpu, region, builder)?;
     let mut picked = tuner.pick(space)?.best;
     let mut steps = Vec::with_capacity(iters);
-    let mut compiled: Option<CompiledPlan> = None;
-    let opts = BufferOptions::default();
+    let mut opts = RunOptions::default();
     for iter in 0..iters {
         let (chunk, streams) = match picked {
             Schedule::Static {
@@ -898,16 +784,18 @@ pub fn run_model_online(
         let predicted = tuner
             .model
             .predict(ExecModel::PipelinedBuffer, chunk, streams)?;
-        if compiled.is_none() {
-            compiled = Some(compile_plan(gpu, &it_region, builder, &opts)?);
+        if opts.compiled.is_none() {
+            let plan = compile_plan(gpu, &it_region, builder, &opts.buffer)?;
+            opts.compiled = Some(Arc::new(plan));
         }
-        let report = buffer_impl_with(
+        let report = run_plan(
             gpu,
             &it_region,
             builder,
+            ExecModel::PipelinedBuffer,
             &opts,
             None,
-            compiled.as_ref(),
+            false,
         )
         .map(expect_done)?;
         tuner.model.calibration.update(&predicted, &report);
@@ -934,7 +822,7 @@ pub fn run_model_online(
         if let Some(next) = constrained.flatten() {
             if next != picked {
                 picked = next;
-                compiled = None;
+                opts.compiled = None;
                 replanned = true;
             }
         }
@@ -1019,14 +907,13 @@ mod tests {
 
     #[test]
     fn predictions_track_the_simulator_within_tolerance() {
-        use crate::buffer::buffer_impl;
-        use crate::exec::{naive_impl, pipelined_impl};
+        use crate::exec::run_fresh;
         let (mut gpu, region) = setup(DeviceProfile::k40m());
         gpu.set_timeline_enabled(false);
         let model = CostModel::new(&gpu, &region, &builder).unwrap();
 
         let naive_pred = model.predict(ExecModel::Naive, 1, 1).unwrap();
-        let naive_meas = naive_impl(&mut gpu, &region, &builder).unwrap();
+        let naive_meas = run_fresh(&mut gpu, &region, &builder, ExecModel::Naive).unwrap();
         let err = (naive_pred.total.as_secs_f64() - naive_meas.total.as_secs_f64()).abs()
             / naive_meas.total.as_secs_f64();
         assert!(err < 0.05, "naive error {err:.3}");
@@ -1034,32 +921,134 @@ mod tests {
         let pl_pred = model.predict(ExecModel::Pipelined, 4, 3).unwrap();
         let mut pl_region = region.clone();
         pl_region.spec.schedule = Schedule::static_(4, 3);
-        let pl_meas = pipelined_impl(
-            &mut gpu,
-            &pl_region,
-            &builder,
-            &PipelinedOptions::default(),
-            None,
-        )
-        .map(expect_done)
-        .unwrap();
+        let pl_meas = run_fresh(&mut gpu, &pl_region, &builder, ExecModel::Pipelined).unwrap();
         let err = (pl_pred.total.as_secs_f64() - pl_meas.total.as_secs_f64()).abs()
             / pl_meas.total.as_secs_f64();
         assert!(err < 0.15, "pipelined error {err:.3}");
 
         let buf_pred = model.predict(ExecModel::PipelinedBuffer, 4, 3).unwrap();
-        let buf_meas = buffer_impl(
-            &mut gpu,
-            &pl_region,
-            &builder,
-            &BufferOptions::default(),
-            None,
-        )
-        .map(expect_done)
-        .unwrap();
+        let buf_meas =
+            run_fresh(&mut gpu, &pl_region, &builder, ExecModel::PipelinedBuffer).unwrap();
         let err = (buf_pred.total.as_secs_f64() - buf_meas.total.as_secs_f64()).abs()
             / buf_meas.total.as_secs_f64();
         assert!(err < 0.15, "buffer error {err:.3}");
+    }
+
+    /// Random 1-D/column-block shapes: a haloed input, an optional
+    /// column-block input over a full matrix, and a strided output.
+    fn random_region(
+        gpu: &mut Gpu,
+        (extent, window, bias, blocks, chunk, streams): (usize, usize, i64, bool, usize, usize),
+    ) -> Region {
+        let slice = 48;
+        let mut spec = RegionSpec::new(Schedule::static_(chunk, streams))
+            .with_map(MapSpec {
+                name: "in".into(),
+                dir: MapDir::To,
+                split: SplitSpec::OneD {
+                    offset: Affine { scale: 1, bias },
+                    window,
+                    extent,
+                    slice_elems: slice,
+                },
+            })
+            .with_map(MapSpec {
+                name: "out".into(),
+                dir: MapDir::From,
+                split: SplitSpec::OneD {
+                    offset: Affine::IDENTITY,
+                    window: 1,
+                    extent,
+                    slice_elems: slice,
+                },
+            });
+        let mut arrays = vec![
+            gpu.alloc_host(extent * slice, true).unwrap(),
+            gpu.alloc_host(extent * slice, false).unwrap(),
+        ];
+        if blocks {
+            let (rows, block_cols) = (5, 3);
+            spec = spec.with_map(MapSpec {
+                name: "blk".into(),
+                dir: MapDir::To,
+                split: SplitSpec::ColBlocks {
+                    offset: Affine::IDENTITY,
+                    window: 1,
+                    extent,
+                    rows,
+                    block_cols,
+                    row_stride: extent * block_cols,
+                },
+            });
+            arrays.push(gpu.alloc_host(rows * extent * block_cols, true).unwrap());
+        }
+        // Keep every window in bounds: a = k + bias ≥ 0, b ≤ extent.
+        let lo = -bias;
+        let hi = (extent as i64 + 1 - bias - window as i64).min(extent as i64);
+        Region::new(spec, lo, hi, arrays)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The cost model walks exactly the commands the executor issues:
+        /// per engine, the tape's command count and bytes equal the
+        /// simulated run's.
+        #[test]
+        fn walk_issues_the_simulated_commands(
+            extent in 6usize..24,
+            window in 1usize..4,
+            bias in -1i64..1,
+            blocks in proptest::prelude::any::<bool>(),
+            chunk in 1usize..6,
+            streams in 1usize..5,
+        ) {
+            let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Timing).unwrap();
+            let region =
+                random_region(&mut gpu, (extent, window, bias, blocks, chunk, streams));
+            let cm = CostModel::new(&gpu, &region, &builder).unwrap();
+            for model in [ExecModel::Naive, ExecModel::Pipelined, ExecModel::PipelinedBuffer] {
+                let key = PlanKey::new(
+                    model,
+                    region.spec.clone(),
+                    region.lo,
+                    region.hi,
+                    cm.profile().clone(),
+                    &BufferOptions::default(),
+                    false,
+                );
+                let cp = compile_key(key).unwrap();
+                let (mut h2d, mut d2h, mut kernels) = (0u64, 0u64, 0u64);
+                for (_, cmd) in cm.tape(&cp) {
+                    match cmd {
+                        Cmd::Copy(_, true) => h2d += 1,
+                        Cmd::Copy(_, false) => d2h += 1,
+                        Cmd::Launch(_) => kernels += 1,
+                        Cmd::Wait(..) | Cmd::Record(..) => {}
+                    }
+                }
+                let bytes = |h2d: bool| -> u64 {
+                    let maps = &region.spec.maps;
+                    cp.steps
+                        .iter()
+                        .flat_map(|s| if h2d { cp.copy_runs(s) } else { cp.out_runs(s) })
+                        .map(|&(i, _, len)| (len * maps[i].split.slice_elems()) as u64 * ELEM_BYTES)
+                        .sum()
+                };
+                let report = crate::exec::run_fresh(&mut gpu, &region, &builder, model).unwrap();
+                let m = &report.stage_metrics;
+                proptest::prop_assert_eq!(
+                    (h2d, kernels, d2h),
+                    (m.h2d.count(), m.kernel.count(), m.d2h.count()),
+                    "{:?} command counts", model
+                );
+                proptest::prop_assert_eq!(
+                    (bytes(true), bytes(false)),
+                    (report.h2d_bytes, report.d2h_bytes),
+                    "{:?} bytes", model
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,14 @@
-//! Region execution: the Naive and Pipelined reference drivers plus the
-//! shared infrastructure (the Pipelined-buffer driver — the paper's
-//! contribution — lives in [`crate::buffer`]).
+//! Region execution: the one executor every execution model runs
+//! through.
 //!
-//! All three drivers share one kernel-builder interface: the application
+//! [`crate::buffer`] compiles a region under any [`ExecModel`] into a
+//! [`CompiledPlan`]; [`execute`] replays it — allocate the plan's
+//! layout, issue each [`ChunkStep`](crate::ChunkStep)'s waits, copies,
+//! kernel and drains on its stream, then drain the device (retrying
+//! failed chunks when a recovery policy is on). The cost model walks the
+//! same plan analytically, so both see one command stream.
+//!
+//! Every model shares one kernel-builder interface: the application
 //! provides a closure from a [`ChunkCtx`] (iteration sub-range + device
 //! views) to a [`KernelLaunch`]. Because kernels address arrays only
 //! through [`ArrayView`](crate::ArrayView), the *same* kernel body is
@@ -10,29 +16,28 @@
 //! paper passes device base pointers and offsets into unmodified OpenACC
 //! kernel bodies.
 
-use gpsim::{CounterTrack, Gpu, HostBufId, KernelLaunch, SimTime};
+use gpsim::{Copy2D, CounterTrack, EventId, Gpu, HostBufId, HostSpanKind, KernelLaunch, StreamId};
 
+use crate::buffer::{compile, slot_runs};
 use crate::error::{RtError, RtResult};
-use crate::plan::{chunk_ranges, map_full_bytes, resolve_plan};
-use crate::recovery::{drain_with_recovery, DrainResult, DriverOutcome, RecoveryCtx};
+use crate::plan::{CompiledPlan, EvKind, Layout, PlanKey, StageWait};
+use crate::recovery::{drain_with_recovery, Drained, DriverOutcome, RecoveryCtx, RecoveryStats};
 use crate::report::{ExecModel, RunReport};
-use crate::spec::{RegionSpec, Schedule, SplitSpec};
+use crate::run::RunOptions;
+use crate::spec::{RegionSpec, SplitSpec};
 use crate::view::{ArrayView, ChunkCtx};
 
-/// Unwrap a [`DriverOutcome`] from a driver run without recovery (the
-/// deprecated free-function entry points): `Exhausted` is unreachable
-/// because only an enabled retry policy can produce it.
+/// Unwrap a [`DriverOutcome`] from a run without recovery: `Exhausted`
+/// is unreachable because only an enabled retry policy can produce it.
 pub(crate) fn expect_done(outcome: DriverOutcome) -> RunReport {
     match outcome {
         DriverOutcome::Done(r) => r,
-        DriverOutcome::Exhausted { .. } => {
-            unreachable!("retry exhaustion without a retry policy")
-        }
+        DriverOutcome::Exhausted(..) => unreachable!("retry exhaustion without a retry policy"),
     }
 }
 
-/// A kernel factory: called once per chunk (or once for the whole loop in
-/// the Naive model) to produce the kernel launch for that sub-range.
+/// A kernel factory: called once per chunk (the Naive model's one chunk
+/// is the whole loop) to produce the kernel launch for that sub-range.
 ///
 /// `Sync` so that sweep workers ([`crate::sweep`]) can share one builder
 /// across threads; builders are pure functions of the chunk context in
@@ -92,69 +97,6 @@ impl Region {
         }
         Ok(())
     }
-
-    /// The static (or adaptively resolved) chunk size and stream count.
-    pub(crate) fn schedule_params(&self, gpu: &Gpu) -> RtResult<(usize, usize)> {
-        match self.spec.schedule {
-            Schedule::Static {
-                chunk_size,
-                num_streams,
-            } => {
-                let iters = (self.hi - self.lo) as usize;
-                Ok((chunk_size.min(iters).max(1), num_streams))
-            }
-            Schedule::Adaptive => {
-                let plan = resolve_plan(&self.spec, gpu.profile(), self.lo, self.hi)?;
-                Ok((plan.chunk_size, plan.num_streams))
-            }
-        }
-    }
-}
-
-/// Allocate the *full* device footprint of every map (Naive/Pipelined
-/// models) and return the direct views. The caller frees via
-/// [`free_views`].
-pub(crate) fn alloc_full(gpu: &mut Gpu, region: &Region) -> RtResult<Vec<ArrayView>> {
-    let mut views: Vec<ArrayView> = Vec::with_capacity(region.spec.maps.len());
-    for m in &region.spec.maps {
-        let alloc = match &m.split {
-            SplitSpec::OneD { slice_elems, .. } => gpu
-                .alloc(m.split.total_elems())
-                .map(|ptr| ArrayView::direct_1d(ptr, *slice_elems)),
-            SplitSpec::ColBlocks {
-                rows,
-                block_cols,
-                row_stride,
-                ..
-            } => gpu
-                .alloc(rows * row_stride)
-                .map(|ptr| ArrayView::direct_2d(ptr, *row_stride, *block_cols, *rows)),
-        };
-        match alloc {
-            Ok(v) => views.push(v),
-            Err(e) => {
-                // Roll back partial allocations so a failed run (e.g. the
-                // paper's out-of-memory GEMM sizes) leaves the context
-                // clean for the next version.
-                let _ = free_views(gpu, &views);
-                return Err(e.into());
-            }
-        }
-    }
-    Ok(views)
-}
-
-/// Free the allocations behind a set of views.
-pub(crate) fn free_views(gpu: &mut Gpu, views: &[ArrayView]) -> RtResult<()> {
-    for v in views {
-        gpu.free(v.base())?;
-    }
-    Ok(())
-}
-
-/// Sum of full-footprint device bytes of a region.
-pub(crate) fn full_bytes(region: &Region) -> u64 {
-    region.spec.maps.iter().map(|m| map_full_bytes(&m.split)).sum()
 }
 
 /// Attach declared access ranges for the race checker: the kernel reads
@@ -206,385 +148,350 @@ pub(crate) fn declare_accesses(
     kernel
 }
 
-/// The **Naive** offload model: synchronously copy all inputs, launch
-/// one kernel covering the whole loop, synchronously copy all outputs
-/// back (paper §II: "the naive offload model"). The Naive model has no
-/// chunk-granular recovery — a failure fails the whole region, and
-/// [`crate::run::run_model`] retries or degrades at run granularity
-/// instead.
+/// Run `model` over `region`: replay `opts.compiled` when it was
+/// compiled for exactly this run, otherwise compile afresh with
+/// `opts.buffer` — a stale plan can cost time, never correctness.
+/// `sub_range` marks a run over part of a larger region (see
+/// [`PlanKey::new`](crate::plan::PlanKey)).
 ///
 /// Resets the context's activity counters.
-pub(crate) fn naive_impl(
+pub(crate) fn run_plan(
     gpu: &mut Gpu,
     region: &Region,
     builder: &KernelBuilder<'_>,
-) -> RtResult<RunReport> {
-    region.validate(gpu)?;
-    gpu.reset_counters();
-    let t0 = gpu.now();
-
-    let views = alloc_full(gpu, region)?;
-    let gpu_mem = gpu.current_mem();
-
-    if let Err(e) = naive_body(gpu, region, builder, &views) {
-        // Leave the device clean so a whole-run retry (see `run_model`)
-        // can start over: drain whatever is still in flight and release
-        // the full-size arrays.
-        while gpu.synchronize().is_err() {}
-        let _ = gpu.take_failures();
-        let _ = free_views(gpu, &views);
-        return Err(e);
-    }
-
-    let total = gpu.now() - t0;
-    let report = RunReport::from_gpu(
-        ExecModel::Naive,
-        total,
-        gpu,
-        gpu_mem,
-        full_bytes(region),
-        1,
-        1,
-    );
-    free_views(gpu, &views)?;
-    Ok(report)
-}
-
-/// The enqueue sequence of the naive model: full copy-in → one kernel →
-/// full copy-out, all on the default stream.
-fn naive_body(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    views: &[ArrayView],
-) -> RtResult<()> {
-    // Copy every input array in full.
-    for (i, m) in region.spec.maps.iter().enumerate() {
-        if m.dir.is_input() {
-            gpu.memcpy_h2d(region.arrays[i], 0, views[i].base(), m.split.total_elems())?;
-        }
-    }
-
-    // One kernel for the entire iteration space.
-    let ctx = ChunkCtx {
-        k0: region.lo,
-        k1: region.hi,
-        views: views.to_vec(),
-    };
-    let full_ranges: Vec<(i64, i64)> = region
-        .spec
-        .maps
-        .iter()
-        .map(|m| m.split.needed_slices(region.lo, region.hi))
-        .collect();
-    let kernel = declare_accesses(gpu, builder(&ctx), region, views, &full_ranges);
-    let s0 = gpu.default_stream();
-    gpu.launch(s0, kernel)?;
-    gpu.stream_synchronize(s0)?;
-
-    // Copy every output array back in full.
-    for (i, m) in region.spec.maps.iter().enumerate() {
-        if m.dir.is_output() {
-            gpu.memcpy_d2h(views[i].base(), m.split.total_elems(), region.arrays[i], 0)?;
-        }
-    }
-    Ok(())
-}
-
-/// Tuning knobs of the Pipelined (hand-coded OpenACC-style) driver.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelinedOptions {
-    /// Host bookkeeping charged per enqueue, as a multiple of the
-    /// device's API overhead *per live stream beyond the second*. Models
-    /// the per-queue polling of an OpenACC async runtime; the paper
-    /// observes the hand-pipelined version degrading dramatically as
-    /// streams grow (Figure 7) while the prototype, which talks to CUDA
-    /// streams directly, stays flat.
-    pub poll_factor: f64,
-}
-
-impl PipelinedOptions {
-    /// Defaults, identical to [`Default`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the per-enqueue host polling charge (consuming builder).
-    pub fn with_poll_factor(mut self, factor: f64) -> Self {
-        self.poll_factor = factor;
-        self
-    }
-
-    /// Per-enqueue polling charge for `num_streams` live queues.
-    pub(crate) fn poll_time(&self, api_overhead: SimTime, num_streams: usize) -> SimTime {
-        let extra = num_streams.saturating_sub(2) as f64;
-        SimTime::from_secs_f64(api_overhead.as_secs_f64() * self.poll_factor * extra)
-    }
-}
-
-impl Default for PipelinedOptions {
-    fn default() -> Self {
-        // Calibrated so that, at the paper's problem sizes, the host-side
-        // queue polling overtakes the device pipeline somewhere between
-        // 4 and 6 streams — the crossover of Figure 7.
-        PipelinedOptions { poll_factor: 2.4 }
-    }
-}
-
-/// The **Pipelined** model driver: the loop is divided into chunks
-/// launched with their transfers on round-robin streams, but device
-/// arrays keep their *full* footprint and indices are unchanged — the
-/// paper's hand-coded comparator ("manually divides the iterations but
-/// does not alter array indices", §IV).
-///
-/// With `recovery` present and enabled, the
-/// driver tracks which enqueue-sequence range belongs to which chunk and
-/// replaces the final synchronize with a retrying drain: a failed chunk's
-/// H2D → kernel → D2H triplet is re-enqueued on its stream (after a
-/// simulated backoff) while the other chunks' completions stand.
-pub(crate) fn pipelined_impl(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    opts: &PipelinedOptions,
+    model: ExecModel,
+    opts: &RunOptions,
     recovery: Option<&RecoveryCtx<'_>>,
+    sub_range: bool,
 ) -> RtResult<DriverOutcome> {
     region.validate(gpu)?;
-    // Output windows that overlap between chunks would be drained to the
-    // host by different streams in nondeterministic order (the buffer
-    // driver rejects this through its window table; mirror that here).
-    for m in &region.spec.maps {
-        if m.dir.is_output() {
-            let scale = m.split.offset().scale.max(0) as usize;
-            if m.split.window() > scale {
-                return Err(RtError::Spec(format!(
-                    "map '{}': output window {} exceeds stride {}; chunks would                      write overlapping host ranges in nondeterministic order",
-                    m.name,
-                    m.split.window(),
-                    scale
-                )));
+    let key = PlanKey::new(
+        model,
+        region.spec.clone(),
+        region.lo,
+        region.hi,
+        gpu.profile().clone(),
+        &opts.buffer,
+        sub_range,
+    );
+    match opts.compiled.as_deref() {
+        Some(cp) if cp.key == key => execute(gpu, region, builder, cp, recovery, true),
+        _ => {
+            let cp = compile(gpu, region, builder, key)?;
+            execute(gpu, region, builder, &cp, recovery, false)
+        }
+    }
+}
+
+/// [`run_plan`] with default options and no recovery.
+pub(crate) fn run_fresh(
+    gpu: &mut Gpu,
+    region: &Region,
+    builder: &KernelBuilder<'_>,
+    model: ExecModel,
+) -> RtResult<RunReport> {
+    run_plan(
+        gpu,
+        region,
+        builder,
+        model,
+        &RunOptions::default(),
+        None,
+        false,
+    )
+    .map(expect_done)
+}
+
+/// Allocate the plan's device arrays: full-size allocations with direct
+/// views, or pitched rings with ring views. A failed allocation rolls
+/// the earlier ones back (the paper's out-of-memory GEMM sizes leave the
+/// context clean for the next version).
+fn alloc_views(gpu: &mut Gpu, region: &Region, cp: &CompiledPlan) -> RtResult<Vec<ArrayView>> {
+    let ring = cp.layout == Layout::Ring;
+    let mut views: Vec<ArrayView> = Vec::with_capacity(region.spec.maps.len());
+    for (m, &slots) in region.spec.maps.iter().zip(&cp.plan.ring_slots) {
+        let alloc = match &m.split {
+            SplitSpec::OneD { slice_elems, .. } if ring => gpu
+                .alloc(slots * slice_elems)
+                .map(|ptr| ArrayView::ring_1d(ptr, *slice_elems, slots)),
+            SplitSpec::OneD { slice_elems, .. } => gpu
+                .alloc(m.split.total_elems())
+                .map(|ptr| ArrayView::direct_1d(ptr, *slice_elems)),
+            SplitSpec::ColBlocks {
+                rows, block_cols, ..
+            } if ring => gpu
+                .alloc_pitched(*rows, slots * block_cols)
+                .map(|(ptr, pitch)| ArrayView::ring_2d(ptr, pitch, *block_cols, *rows, slots)),
+            SplitSpec::ColBlocks {
+                rows,
+                block_cols,
+                row_stride,
+                ..
+            } => gpu
+                .alloc(rows * row_stride)
+                .map(|ptr| ArrayView::direct_2d(ptr, *row_stride, *block_cols, *rows)),
+        };
+        match alloc {
+            Ok(v) => views.push(v),
+            Err(e) => {
+                for v in &views {
+                    let _ = gpu.free(v.base());
+                }
+                return Err(e.into());
             }
         }
     }
-    let (chunk_size, num_streams) = region.schedule_params(gpu)?;
-    gpu.reset_counters();
-    let t0 = gpu.now();
-    // Chunk planning happened just above; mark it as an instant so the
-    // trace shows where the runtime phase sits (planning itself charges
-    // no simulated time). Gated so untraced runs skip the label format.
-    if gpu.timeline_enabled() {
-        gpu.push_host_span(
-            format!("plan(chunk={chunk_size}, streams={num_streams})"),
-            gpsim::HostSpanKind::Plan,
-            t0,
-            t0,
-        );
-    }
+    Ok(views)
+}
 
-    let views = alloc_full(gpu, region)?;
-    let streams: Vec<_> = match (0..num_streams)
-        .map(|_| gpu.create_stream())
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(s) => s,
-        Err(e) => {
-            let _ = free_views(gpu, &views);
-            return Err(e.into());
+/// Enqueue one copy run `(map, first slice, slice count)` between the
+/// host array and its device view (`h2d` picks the direction). A whole
+/// layout moves the entire array as one flat transfer; otherwise 1-D
+/// maps copy one contiguous range and column-block maps one strided 2-D
+/// range.
+fn enqueue_run(
+    gpu: &mut Gpu,
+    region: &Region,
+    layout: Layout,
+    view: &ArrayView,
+    (i, start, len): (usize, i64, usize),
+    stream: StreamId,
+    h2d: bool,
+) -> RtResult<()> {
+    let split = &region.spec.maps[i].split;
+    let host = region.arrays[i];
+    let (off, dev, elems) = match split {
+        _ if layout == Layout::Whole => (0, view.base(), split.total_elems()),
+        SplitSpec::OneD { slice_elems, .. } => (
+            start as usize * slice_elems,
+            view.slice_ptr(start),
+            len * slice_elems,
+        ),
+        SplitSpec::ColBlocks {
+            rows,
+            block_cols,
+            row_stride,
+            ..
+        } => {
+            let (dev, dev_stride) = view.block_ptr(start);
+            let copy = Copy2D {
+                rows: *rows,
+                row_elems: len * block_cols,
+                host,
+                host_off: start as usize * block_cols,
+                host_stride: *row_stride,
+                dev,
+                dev_stride,
+            };
+            let issued = if h2d {
+                gpu.memcpy2d_h2d_async(stream, copy)
+            } else {
+                gpu.memcpy2d_d2h_async(stream, copy)
+            };
+            return Ok(issued?);
         }
     };
-    let gpu_mem = gpu.current_mem();
-    let poll = opts.poll_time(gpu.profile().api_overhead, num_streams);
-
-    let chunks = chunk_ranges(region.lo, region.hi, chunk_size);
-    let n_maps = region.spec.maps.len();
-
-    // Disjoint input coverage: chunk c copies the slices in its window not
-    // already copied by earlier chunks. `owner[m][slice - first]` is the
-    // chunk that copies each slice.
-    let mut hwm: Vec<i64> = Vec::with_capacity(n_maps); // per-map high-water mark
-    let mut first: Vec<i64> = Vec::with_capacity(n_maps);
-    let mut owner: Vec<Vec<usize>> = Vec::with_capacity(n_maps);
-    for m in &region.spec.maps {
-        let (a, b) = m.split.needed_slices(region.lo, region.hi);
-        first.push(a);
-        hwm.push(a);
-        owner.push(vec![usize::MAX; (b - a) as usize]);
-    }
-
-    let mut h2d_event: Vec<Option<gpsim::EventId>> = vec![None; chunks.len()];
-
-    let recovering = recovery.is_some_and(|r| r.policy.enabled());
-    // Per-chunk enqueue-sequence ranges (failure → chunk lookup) and the
-    // halo-consumer graph: chunks whose kernels read slices chunk `c`
-    // copied. An H2D failure of `c` silently fed those kernels stale
-    // data, so they must be retried alongside `c`.
-    let mut chunk_seqs: Vec<(u64, u64)> = Vec::with_capacity(chunks.len());
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); chunks.len()];
-
-    let mut recovery_stats = crate::recovery::RecoveryStats::default();
-    let mut retry_samples: Vec<(u64, f64)> = Vec::new();
-    let mut exhausted = None;
-    // Per-chunk scratch, hoisted so steady-state chunks reuse capacity.
-    let mut wait_chunks: Vec<usize> = Vec::new();
-    let mut ranges: Vec<(i64, i64)> = Vec::new();
-    let body = (|| -> RtResult<()> {
-    for (c, &(k0, k1)) in chunks.iter().enumerate() {
-        let s = streams[c % num_streams];
-        let seq0 = gpu.next_seq();
-
-        // --- H2D: this chunk's not-yet-copied input slices -------------
-        let mut copied_any = false;
-        for (i, m) in region.spec.maps.iter().enumerate() {
-            if !m.dir.is_input() {
-                continue;
-            }
-            let (_, b) = m.split.needed_slices(k0, k1);
-            if hwm[i] >= b {
-                continue;
-            }
-            let (lo_s, hi_s) = (hwm[i], b);
-            enqueue_h2d_direct(gpu, region, &views[i], i, lo_s, hi_s, s, poll)?;
-            for sl in lo_s..hi_s {
-                owner[i][(sl - first[i]) as usize] = c;
-            }
-            hwm[i] = b;
-            copied_any = true;
-        }
-        if copied_any {
-            let e = gpu.create_event();
-            gpu.record_event(s, e)?;
-            gpu.host_busy(poll);
-            h2d_event[c] = Some(e);
-        }
-
-        // --- Kernel: wait for other-stream chunks that copied our slices.
-        wait_chunks.clear();
-        for (i, m) in region.spec.maps.iter().enumerate() {
-            if !m.dir.is_input() {
-                continue;
-            }
-            let (a, b) = m.split.needed_slices(k0, k1);
-            for sl in a..b {
-                let o = owner[i][(sl - first[i]) as usize];
-                debug_assert_ne!(o, usize::MAX, "slice {sl} of map {i} never copied");
-                if o != c && o % num_streams != c % num_streams && !wait_chunks.contains(&o) {
-                    wait_chunks.push(o);
-                }
-                if recovering && o != c && !dependents[o].contains(&c) {
-                    dependents[o].push(c);
-                }
-            }
-        }
-        for &o in &wait_chunks {
-            if let Some(e) = h2d_event[o] {
-                gpu.wait_event(s, e)?;
-                gpu.host_busy(poll);
-            }
-        }
-
-        let ctx = ChunkCtx {
-            k0,
-            k1,
-            views: views.clone(),
-        };
-        ranges.clear();
-        ranges.extend(
-            region
-                .spec
-                .maps
-                .iter()
-                .map(|m| m.split.needed_slices(k0, k1)),
-        );
-        let kernel = declare_accesses(gpu, builder(&ctx), region, &views, &ranges);
-        gpu.launch(s, kernel)?;
-        gpu.host_busy(poll);
-
-        // --- D2H: the chunk's output slices -----------------------------
-        for (i, m) in region.spec.maps.iter().enumerate() {
-            if !m.dir.is_output() {
-                continue;
-            }
-            let (a, b) = m.split.needed_slices(k0, k1);
-            enqueue_d2h_direct(gpu, region, &views[i], i, a, b, s, poll)?;
-        }
-        chunk_seqs.push((seq0, gpu.next_seq()));
-    }
-
-    match recovery.filter(|r| r.policy.enabled()) {
-        None => gpu.synchronize()?,
-        Some(rctx) => {
-            let drained = drain_with_recovery(
-                gpu,
-                ExecModel::Pipelined,
-                region,
-                rctx,
-                &chunks,
-                &chunk_seqs,
-                &dependents,
-                |gpu, c| {
-                    // Re-enqueue the chunk's full triplet. The whole input
-                    // window is recopied (not just the slices this chunk
-                    // originally owned) so the reissue is self-sufficient.
-                    let (k0, k1) = chunks[c];
-                    let s = streams[c % num_streams];
-                    let mut n = 0u64;
-                    for (i, m) in region.spec.maps.iter().enumerate() {
-                        if !m.dir.is_input() {
-                            continue;
-                        }
-                        let (a, b) = m.split.needed_slices(k0, k1);
-                        enqueue_h2d_direct(gpu, region, &views[i], i, a, b, s, poll)?;
-                        n += 1;
-                    }
-                    let ctx = ChunkCtx {
-                        k0,
-                        k1,
-                        views: views.clone(),
-                    };
-                    let ranges: Vec<(i64, i64)> = region
-                        .spec
-                        .maps
-                        .iter()
-                        .map(|m| m.split.needed_slices(k0, k1))
-                        .collect();
-                    let kernel = declare_accesses(gpu, builder(&ctx), region, &views, &ranges);
-                    gpu.launch(s, kernel)?;
-                    gpu.host_busy(poll);
-                    n += 1;
-                    for (i, m) in region.spec.maps.iter().enumerate() {
-                        if !m.dir.is_output() {
-                            continue;
-                        }
-                        let (a, b) = m.split.needed_slices(k0, k1);
-                        enqueue_d2h_direct(gpu, region, &views[i], i, a, b, s, poll)?;
-                        n += 1;
-                    }
-                    Ok(n)
-                },
-            )?;
-            match drained {
-                DrainResult::Clean {
-                    stats,
-                    retry_samples: rs,
-                } => {
-                    recovery_stats = stats;
-                    retry_samples = rs;
-                }
-                DrainResult::Exhausted {
-                    chunk,
-                    stage,
-                    attempts,
-                    source,
-                    open,
-                    stats,
-                } => {
-                    recovery_stats = stats;
-                    exhausted = Some((chunk, stage, attempts, source, open));
-                }
-            }
-        }
+    if h2d {
+        gpu.memcpy_h2d_async(stream, host, off, dev, elems)?
+    } else {
+        gpu.memcpy_d2h_async(stream, dev, elems, host, off)?
     }
     Ok(())
+}
+
+/// Build chunk `c`'s kernel: the builder's launch, inflated by the
+/// plan's index overhead, with its declared accesses attached.
+fn chunk_kernel(
+    gpu: &Gpu,
+    region: &Region,
+    builder: &KernelBuilder<'_>,
+    cp: &CompiledPlan,
+    views: &[ArrayView],
+    c: usize,
+    ranges: &mut Vec<(i64, i64)>,
+) -> KernelLaunch {
+    let (k0, k1) = cp.plan.chunks[c];
+    let mut kernel = builder(&ChunkCtx {
+        k0,
+        k1,
+        views: views.to_vec(),
+    });
+    let infl = cp.kernel_inflation();
+    if infl != 1.0 {
+        kernel.cost.flops = (kernel.cost.flops as f64 * infl) as u64;
+        kernel.cost.bytes = (kernel.cost.bytes as f64 * infl) as u64;
+    }
+    ranges.clear();
+    ranges.extend(cp.table.ranges.iter().map(|r| r[c]));
+    declare_accesses(gpu, kernel, region, views, ranges)
+}
+
+/// Replay a [`CompiledPlan`]: allocate its layout and streams, then issue
+/// the pre-classified per-chunk enqueue sequences. The only host work per
+/// chunk is the kernel builder call and the raw enqueues — every
+/// residency, hazard and run-grouping decision was made at compile time.
+///
+/// With `recovery` present and enabled, the final synchronize becomes a
+/// retrying drain: a failed chunk's H2D → kernel → D2H triplet is
+/// re-enqueued on its stream (after a simulated backoff) while the other
+/// chunks' completions stand. Synchronous plans surface a failure at the
+/// command itself, so the caller retries them whole.
+pub(crate) fn execute(
+    gpu: &mut Gpu,
+    region: &Region,
+    builder: &KernelBuilder<'_>,
+    cp: &CompiledPlan,
+    recovery: Option<&RecoveryCtx<'_>>,
+    plan_reused: bool,
+) -> RtResult<DriverOutcome> {
+    let plan = &cp.plan;
+    gpu.reset_counters();
+    let t0 = gpu.now();
+    if let Some(label) = cp.plan_label.as_ref().filter(|_| gpu.timeline_enabled()) {
+        gpu.push_host_span(label.clone(), HostSpanKind::Plan, t0, t0);
+    }
+
+    let views = alloc_views(gpu, region, cp)?;
+    let streams: Vec<StreamId> = if cp.sync_each {
+        vec![gpu.default_stream()]
+    } else {
+        match (0..plan.num_streams).map(|_| gpu.create_stream()).collect() {
+            Ok(s) => s,
+            Err(e) => {
+                for v in &views {
+                    let _ = gpu.free(v.base());
+                }
+                return Err(e.into());
+            }
+        }
+    };
+    let created = &streams[..cp.created_streams()];
+    let gpu_mem = gpu.current_mem();
+
+    let n_chunks = plan.chunks.len();
+    let mut events: Vec<[Option<EventId>; 3]> = vec![[None; 3]; n_chunks];
+    // The plan's polling charge, after every enqueue.
+    let poll = |gpu: &mut Gpu| {
+        if !cp.poll.is_zero() {
+            gpu.host_busy(cp.poll);
+        }
+    };
+    let wait_all = |gpu: &mut Gpu, s, events: &[[Option<EventId>; 3]], waits: &[StageWait]| {
+        for &(ch, kind, cause) in waits {
+            let e = events[ch][kind as usize].expect("compiled waits name recorded events");
+            gpu.wait_event_with_cause(s, e, cause)?;
+            poll(gpu);
+        }
+        RtResult::Ok(())
+    };
+
+    // Ring-slot occupancy over host time (mapped slots across all rings,
+    // precomputed per chunk at compile time) — a counter track in the
+    // trace export.
+    let track_occupancy = cp.layout == Layout::Ring && gpu.timeline_enabled();
+    let mut occupancy: Vec<(u64, f64)> = Vec::new();
+    if track_occupancy {
+        occupancy.push((gpu.now().as_ns(), 0.0));
+    }
+
+    // Per-chunk enqueue-sequence ranges (failure → chunk lookup).
+    let mut chunk_seqs: Vec<(u64, u64)> = Vec::with_capacity(n_chunks);
+    let mut drained = Drained {
+        stats: RecoveryStats::default(),
+        retry_samples: Vec::new(),
+        exhausted: None,
+    };
+    // Per-chunk scratch, hoisted so steady-state chunks reuse capacity.
+    let mut ranges: Vec<(i64, i64)> = Vec::new();
+    let body = (|| -> RtResult<()> {
+        // After a copy or launch: poll, and drain the stream when the plan
+        // issues synchronously.
+        let issued = |gpu: &mut Gpu, s: StreamId| -> RtResult<()> {
+            poll(gpu);
+            if cp.sync_each {
+                gpu.stream_synchronize(s)?;
+            }
+            Ok(())
+        };
+        let record = |gpu: &mut Gpu, s: StreamId, slot: &mut Option<EventId>| -> RtResult<()> {
+            let e = gpu.create_event();
+            gpu.record_event(s, e)?;
+            poll(gpu);
+            *slot = Some(e);
+            Ok(())
+        };
+        for (c, step) in cp.steps.iter().enumerate() {
+            let s = streams[step.stream];
+            let seq0 = gpu.next_seq();
+
+            wait_all(gpu, s, &events, cp.copy_waits(step))?;
+            for &run in cp.copy_runs(step) {
+                enqueue_run(gpu, region, cp.layout, &views[run.0], run, s, true)?;
+                issued(gpu, s)?;
+            }
+            if cp.records(step, EvKind::H2d) {
+                record(gpu, s, &mut events[c][EvKind::H2d as usize])?;
+            }
+
+            wait_all(gpu, s, &events, cp.kernel_waits(step))?;
+            let kernel = chunk_kernel(gpu, region, builder, cp, &views, c, &mut ranges);
+            gpu.launch(s, kernel)?;
+            issued(gpu, s)?;
+            if cp.records(step, EvKind::Kernel) {
+                record(gpu, s, &mut events[c][EvKind::Kernel as usize])?;
+            }
+
+            for &run in cp.out_runs(step) {
+                enqueue_run(gpu, region, cp.layout, &views[run.0], run, s, false)?;
+                issued(gpu, s)?;
+            }
+            if cp.records(step, EvKind::D2h) {
+                record(gpu, s, &mut events[c][EvKind::D2h as usize])?;
+            }
+            chunk_seqs.push((seq0, gpu.next_seq()));
+            if track_occupancy {
+                occupancy.push((gpu.now().as_ns(), step.mapped_slots as f64));
+            }
+        }
+        if cp.sync_each {
+            // Every command already drained its stream.
+            return Ok(());
+        }
+
+        let Some(rctx) = recovery.filter(|r| r.policy.enabled()) else {
+            return Ok(gpu.synchronize()?);
+        };
+        drained = drain_with_recovery(gpu, region, rctx, cp, &chunk_seqs, |gpu, c| {
+            // Re-enqueue the chunk's full triplet into the *same*
+            // device slots (the slice → slot map is static). The
+            // whole input window is recopied, so the reissue is
+            // self-sufficient, and the device is drained before each
+            // reissue, so overwriting ring slots that later chunks
+            // used is safe — their results are already on the host.
+            let s = streams[cp.chunk_stream[c]];
+            let mut n = 0u64;
+            let mut runs = |gpu: &mut Gpu, h2d: bool| -> RtResult<()> {
+                for (i, m) in region.spec.maps.iter().enumerate() {
+                    if (h2d && !m.dir.is_input()) || (!h2d && !m.dir.is_output()) {
+                        continue;
+                    }
+                    let (a, b) = cp.table.ranges[i][c];
+                    for (start, len) in slot_runs(a, b, plan.ring_slots[i]) {
+                        enqueue_run(gpu, region, cp.layout, &views[i], (i, start, len), s, h2d)?;
+                        poll(gpu);
+                        n += 1;
+                    }
+                }
+                Ok(())
+            };
+            runs(gpu, true)?;
+            let kernel = chunk_kernel(gpu, region, builder, cp, &views, c, &mut Vec::new());
+            gpu.launch(s, kernel)?;
+            poll(gpu);
+            runs(gpu, false)?;
+            Ok(n + 1)
+        })?;
+        Ok(())
     })();
     if let Err(e) = body {
         // A failed run must not bleed into whatever runs next on this
@@ -593,141 +500,52 @@ pub(crate) fn pipelined_impl(
         // run) starts from a clean device.
         while gpu.synchronize().is_err() {}
         let _ = gpu.take_failures();
-        for &s in &streams {
+        for &s in created {
             let _ = gpu.destroy_stream(s);
         }
-        let _ = free_views(gpu, &views);
+        for v in &views {
+            let _ = gpu.free(v.base());
+        }
         return Err(e);
     }
 
     let total = gpu.now() - t0;
     let mut report = RunReport::from_gpu(
-        ExecModel::Pipelined,
+        cp.model,
         total,
         gpu,
         gpu_mem,
-        full_bytes(region),
-        chunks.len(),
-        num_streams,
+        plan.buffer_bytes,
+        n_chunks,
+        plan.num_streams,
     );
     // Report the logical workload: reissues are recovery overhead, not
     // extra work, so a recovered run matches a fault-free one.
-    report.commands = report.commands.saturating_sub(recovery_stats.reissued_commands);
-    report.recovery = recovery_stats;
-    if gpu.timeline_enabled() && !retry_samples.is_empty() {
+    report.commands = report
+        .commands
+        .saturating_sub(drained.stats.reissued_commands);
+    report.recovery = drained.stats;
+    report.plan_reused = plan_reused;
+    if track_occupancy {
         report.counter_tracks.push(CounterTrack {
-            name: "retries_in_flight".into(),
-            samples: retry_samples,
+            name: "ring_slot_occupancy".into(),
+            samples: occupancy,
         });
     }
-    for s in streams {
+    if gpu.timeline_enabled() && !drained.retry_samples.is_empty() {
+        report.counter_tracks.push(CounterTrack {
+            name: "retries_in_flight".into(),
+            samples: drained.retry_samples,
+        });
+    }
+    for &s in created {
         gpu.destroy_stream(s)?;
     }
-    free_views(gpu, &views)?;
-    match exhausted {
-        None => Ok(DriverOutcome::Done(report)),
-        Some((chunk, stage, attempts, source, open)) => Ok(DriverOutcome::Exhausted {
-            report,
-            chunk,
-            stage,
-            attempts,
-            source,
-            unfinished: open.into_iter().map(|c| chunks[c]).collect(),
-        }),
+    for v in &views {
+        gpu.free(v.base())?;
     }
-}
-
-/// Enqueue an H2D copy of slices `[lo_s, hi_s)` of map `i` into a direct
-/// (full-footprint) view. 1-D maps use one contiguous copy; column-block
-/// maps use one strided 2-D copy.
-#[allow(clippy::too_many_arguments)]
-fn enqueue_h2d_direct(
-    gpu: &mut Gpu,
-    region: &Region,
-    view: &ArrayView,
-    i: usize,
-    lo_s: i64,
-    hi_s: i64,
-    stream: gpsim::StreamId,
-    poll: SimTime,
-) -> RtResult<()> {
-    let m = &region.spec.maps[i];
-    let host = region.arrays[i];
-    match &m.split {
-        SplitSpec::OneD { slice_elems, .. } => {
-            let off = lo_s as usize * slice_elems;
-            let elems = (hi_s - lo_s) as usize * slice_elems;
-            gpu.memcpy_h2d_async(stream, host, off, view.slice_ptr(lo_s), elems)?;
-            gpu.host_busy(poll);
-        }
-        SplitSpec::ColBlocks {
-            rows,
-            block_cols,
-            row_stride,
-            ..
-        } => {
-            let (dev, stride) = view.block_ptr(lo_s);
-            gpu.memcpy2d_h2d_async(
-                stream,
-                gpsim::Copy2D {
-                    rows: *rows,
-                    row_elems: (hi_s - lo_s) as usize * block_cols,
-                    host,
-                    host_off: lo_s as usize * block_cols,
-                    host_stride: *row_stride,
-                    dev,
-                    dev_stride: stride,
-                },
-            )?;
-            gpu.host_busy(poll);
-        }
-    }
-    Ok(())
-}
-
-/// Enqueue a D2H copy of slices `[lo_s, hi_s)` of map `i` from a direct
-/// view back to the host array.
-#[allow(clippy::too_many_arguments)]
-fn enqueue_d2h_direct(
-    gpu: &mut Gpu,
-    region: &Region,
-    view: &ArrayView,
-    i: usize,
-    lo_s: i64,
-    hi_s: i64,
-    stream: gpsim::StreamId,
-    poll: SimTime,
-) -> RtResult<()> {
-    let m = &region.spec.maps[i];
-    let host = region.arrays[i];
-    match &m.split {
-        SplitSpec::OneD { slice_elems, .. } => {
-            let off = lo_s as usize * slice_elems;
-            let elems = (hi_s - lo_s) as usize * slice_elems;
-            gpu.memcpy_d2h_async(stream, view.slice_ptr(lo_s), elems, host, off)?;
-            gpu.host_busy(poll);
-        }
-        SplitSpec::ColBlocks {
-            rows,
-            block_cols,
-            row_stride,
-            ..
-        } => {
-            let (dev, stride) = view.block_ptr(lo_s);
-            gpu.memcpy2d_d2h_async(
-                stream,
-                gpsim::Copy2D {
-                    rows: *rows,
-                    row_elems: (hi_s - lo_s) as usize * block_cols,
-                    host,
-                    host_off: lo_s as usize * block_cols,
-                    host_stride: *row_stride,
-                    dev,
-                    dev_stride: stride,
-                },
-            )?;
-            gpu.host_busy(poll);
-        }
-    }
-    Ok(())
+    Ok(match drained.exhausted {
+        None => DriverOutcome::Done(report),
+        Some(x) => DriverOutcome::Exhausted(report, x),
+    })
 }

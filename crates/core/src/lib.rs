@@ -122,15 +122,15 @@ pub use costmodel::{
 };
 pub use error::{RtError, RtResult};
 pub use metrics::{Histogram, Stage, StageMetrics};
-pub use exec::{KernelBuilder, PipelinedOptions, Region};
+pub use exec::{KernelBuilder, Region};
 pub use multi::{
     partition_iterations, run_model_multi, DeviceTrace, Migration, MigrationCause, MultiOptions,
     MultiRecovery, MultiReport,
 };
 pub use plan::{
-    build_window_table, chunk_ranges, footprint, map_buffer_bytes, map_full_bytes, min_footprint,
-    resolve_plan, resolve_plan_fn, ring_slots_default, ring_slots_min, ChunkStep, CompiledPlan,
-    EvKind, Plan, WindowFn, WindowTable,
+    build_window_table, chunk_ranges, footprint, map_buffer_bytes, map_full_bytes, resolve_plan,
+    resolve_plan_fn, ring_slots_default, ring_slots_min, ChunkStep, CompiledPlan, EvKind, Layout,
+    Plan, SliceRun, StageWait, WindowFn, WindowTable,
 };
 pub use recovery::{Degradation, RecoveryStats, RetryPolicy};
 pub use report::{ExecModel, RunReport};

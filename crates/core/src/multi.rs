@@ -38,7 +38,7 @@ use crate::exec::{KernelBuilder, Region};
 use crate::recovery::ToFromSnapshot;
 use crate::report::{ExecModel, RunReport};
 use crate::run::{run_ladder, RunOptions};
-use crate::spec::{MapDir, Schedule};
+use crate::spec::{MapDir, RegionSpec, Schedule};
 
 /// Supervision knobs of the multi-device co-scheduler.
 #[derive(Debug, Clone)]
@@ -351,16 +351,16 @@ fn validate_multi(gpus: &[Gpu], region: &Region) -> RtResult<()> {
     if gpus.is_empty() {
         return Err(RtError::Spec("no devices given".into()));
     }
-    validate_sliceable(region)
+    validate_sliceable(&region.spec)
 }
 
 /// Reject regions whose output maps write overlapping host slices across
 /// iteration sub-ranges. Splitting such a region — across devices
-/// ([`run_model_multi`]) or across time slices
-/// ([`crate::ResumableRun`]) — would make the result depend on the
-/// execution order of the pieces.
-pub(crate) fn validate_sliceable(region: &Region) -> RtResult<()> {
-    for m in &region.spec.maps {
+/// ([`run_model_multi`]), across time slices ([`crate::ResumableRun`]) or
+/// across the Pipelined model's streams — would make the result depend
+/// on the execution order of the pieces.
+pub(crate) fn validate_sliceable(spec: &RegionSpec) -> RtResult<()> {
+    for m in &spec.maps {
         if m.dir == MapDir::From || m.dir == MapDir::ToFrom {
             let scale = m.split.offset().scale.max(0) as usize;
             if m.split.window() > scale {

@@ -14,10 +14,13 @@
 //! bandwidth on the target device, and defaults to three streams (input
 //! copy / compute / output copy can then fully overlap).
 
-use gpsim::{DeviceProfile, WaitCause, ELEM_BYTES, PITCH_ALIGN_ELEMS};
+use std::ops::Range;
 
-use crate::buffer::StreamAssignment;
+use gpsim::{DeviceProfile, SimTime, WaitCause, ELEM_BYTES, PITCH_ALIGN_ELEMS};
+
+use crate::buffer::BufferOptions;
 use crate::error::{RtError, RtResult};
+use crate::report::ExecModel;
 use crate::spec::{RegionSpec, Schedule, SplitSpec};
 
 /// A resolved execution plan for one region.
@@ -29,10 +32,11 @@ pub struct Plan {
     pub num_streams: usize,
     /// Chunk iteration ranges `[k0, k1)`, in order.
     pub chunks: Vec<(i64, i64)>,
-    /// Ring capacity (slices) per mapped array, in map order. Only
-    /// meaningful for the Pipelined-buffer driver.
+    /// Ring capacity (slices) per mapped array, in map order (the array
+    /// extent for full-size layouts).
     pub ring_slots: Vec<usize>,
-    /// Total device bytes of all ring buffers under this plan.
+    /// Total device bytes of all arrays under this plan (rings, or full
+    /// arrays for full-size layouts).
     pub buffer_bytes: u64,
 }
 
@@ -83,6 +87,15 @@ pub fn map_buffer_bytes(split: &SplitSpec, slots: usize) -> u64 {
     }
 }
 
+/// Device bytes of every map's ring under `slots[map]` slots.
+pub(crate) fn slots_bytes(spec: &RegionSpec, slots: &[usize]) -> u64 {
+    spec.maps
+        .iter()
+        .zip(slots)
+        .map(|(m, &s)| map_buffer_bytes(&m.split, s))
+        .sum()
+}
+
 /// Device bytes of the full (non-ring) allocation of a map, as used by the
 /// Naive and Pipelined models.
 pub fn map_full_bytes(split: &SplitSpec) -> u64 {
@@ -100,12 +113,29 @@ pub fn footprint(spec: &RegionSpec, chunk: usize, num_streams: usize) -> u64 {
         .sum()
 }
 
-/// Minimum possible footprint (chunk 1, one stream).
-pub fn min_footprint(spec: &RegionSpec) -> u64 {
-    spec.maps
-        .iter()
-        .map(|m| map_buffer_bytes(&m.split, ring_slots_min(&m.split, 1)))
-        .sum()
+/// Shrink a `(chunk, streams)` schedule until its device `bytes` fit the
+/// spec's `pipeline_mem_limit`: streams first (cheap: less in-flight
+/// margin), then chunk. Errors with the smallest schedule's bytes when
+/// even that does not fit.
+fn fit_mem_limit(
+    spec: &RegionSpec,
+    (mut chunk, mut streams): (usize, usize),
+    mut bytes: impl FnMut(usize, usize) -> RtResult<u64>,
+) -> RtResult<(usize, usize)> {
+    let Some(limit) = spec.mem_limit else {
+        return Ok((chunk, streams));
+    };
+    while bytes(chunk, streams)? > limit && streams > 1 {
+        streams -= 1;
+    }
+    while bytes(chunk, streams)? > limit && chunk > 1 {
+        chunk = (chunk / 2).max(1);
+    }
+    let needed = bytes(chunk, streams)?;
+    if needed > limit {
+        return Err(RtError::MemLimitInfeasible { limit, needed });
+    }
+    Ok((chunk, streams))
 }
 
 /// Resolve a region spec into a concrete [`Plan`] for the Pipelined-buffer
@@ -119,31 +149,16 @@ pub fn resolve_plan(
 ) -> RtResult<Plan> {
     spec.validate(lo, hi)?;
     let iters = (hi - lo) as usize;
-    let (mut chunk, mut streams) = match spec.schedule {
+    let (chunk, streams) = match spec.schedule {
         Schedule::Static {
             chunk_size,
             num_streams,
         } => (chunk_size.min(iters), num_streams),
         Schedule::Adaptive => adaptive_schedule(spec, profile, iters),
     };
-    streams = streams.max(1);
-    chunk = chunk.max(1);
-
-    if let Some(limit) = spec.mem_limit {
-        // Shrink streams first (cheap: less in-flight margin), then chunk.
-        while footprint(spec, chunk, streams) > limit && streams > 1 {
-            streams -= 1;
-        }
-        while footprint(spec, chunk, streams) > limit && chunk > 1 {
-            chunk = (chunk / 2).max(1);
-        }
-        if footprint(spec, chunk, streams) > limit {
-            return Err(RtError::MemLimitInfeasible {
-                limit,
-                needed: min_footprint(spec),
-            });
-        }
-    }
+    let (chunk, streams) = fit_mem_limit(spec, (chunk.max(1), streams.max(1)), |c, s| {
+        Ok(footprint(spec, c, s))
+    })?;
 
     let chunks = chunk_ranges(lo, hi, chunk);
     let ring_slots: Vec<usize> = spec
@@ -151,12 +166,7 @@ pub fn resolve_plan(
         .iter()
         .map(|m| ring_slots_default(&m.split, chunk, streams))
         .collect();
-    let buffer_bytes = spec
-        .maps
-        .iter()
-        .zip(&ring_slots)
-        .map(|(m, &s)| map_buffer_bytes(&m.split, s))
-        .sum();
+    let buffer_bytes = slots_bytes(spec, &ring_slots);
     Ok(Plan {
         chunk_size: chunk,
         num_streams: streams,
@@ -277,7 +287,7 @@ pub fn resolve_plan_fn(
     if hi <= lo {
         return Err(RtError::Spec(format!("empty loop range [{lo}, {hi})")));
     }
-    let (mut chunk, mut streams) = match spec.schedule {
+    let (chunk, streams) = match spec.schedule {
         Schedule::Static {
             chunk_size,
             num_streams,
@@ -298,32 +308,12 @@ pub fn resolve_plan_fn(
             .enumerate()
             .map(|(i, m)| table.ring_slots(i, streams, m.split.extent()))
             .collect();
-        let bytes = spec
-            .maps
-            .iter()
-            .zip(&slots)
-            .map(|(m, &s)| map_buffer_bytes(&m.split, s))
-            .sum();
+        let bytes = slots_bytes(spec, &slots);
         Ok((chunks, table, slots, bytes))
     };
 
-    let (mut chunks, mut table, mut slots, mut bytes) = build(chunk, streams)?;
-    if let Some(limit) = spec.mem_limit {
-        while bytes > limit && streams > 1 {
-            streams -= 1;
-            (chunks, table, slots, bytes) = build(chunk, streams)?;
-        }
-        while bytes > limit && chunk > 1 {
-            chunk = (chunk / 2).max(1);
-            (chunks, table, slots, bytes) = build(chunk, streams)?;
-        }
-        if bytes > limit {
-            return Err(RtError::MemLimitInfeasible {
-                limit,
-                needed: bytes,
-            });
-        }
-    }
+    let (chunk, streams) = fit_mem_limit(spec, (chunk, streams), |c, s| Ok(build(c, s)?.3))?;
+    let (chunks, table, slots, bytes) = build(chunk, streams)?;
 
     Ok((
         Plan {
@@ -339,10 +329,10 @@ pub fn resolve_plan_fn(
 
 /// Which of a chunk's completion events a compiled wait refers to.
 ///
-/// The Pipelined-buffer driver records at most one event per chunk per
-/// stage (H2D group, kernel, D2H group); a compiled wait names the
-/// producing chunk and the stage instead of a live [`gpsim::EventId`],
-/// so the same compiled plan can be replayed on fresh events every run.
+/// A plan records at most one event per chunk per stage (H2D group,
+/// kernel, D2H group); a compiled wait names the producing chunk and the
+/// stage instead of a live [`gpsim::EventId`], so the same compiled plan
+/// can be replayed on fresh events every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvKind {
     /// The chunk's H2D-group completion event.
@@ -353,45 +343,85 @@ pub enum EvKind {
     D2h,
 }
 
-/// The fully classified enqueue recipe for one chunk of a compiled
-/// Pipelined-buffer run: every hazard wait, copy run and drain run the
-/// driver will issue, in issue order. Produced once by [`compile_plan`]
-/// (or on the first run) and replayed on every execution.
-///
-/// [`compile_plan`]: crate::compile_plan
+/// A compiled event wait: `(producing chunk, stage, recorded stall
+/// cause)`.
+pub type StageWait = (usize, EvKind, WaitCause);
+
+/// A compiled transfer: `(map, first slice, slice count)`, contiguous in
+/// device memory.
+pub type SliceRun = (usize, i64, usize);
+
+/// The fully classified enqueue recipe for one chunk of a compiled run:
+/// every hazard wait, copy run and drain run the executor will issue, in
+/// issue order, as ranges of the plan's [`waits`](CompiledPlan::waits)
+/// and [`runs`](CompiledPlan::runs). Produced once by compilation and
+/// replayed on every execution (and walked by the cost model).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkStep {
     /// Stream index (into the run's stream list) this chunk executes on.
     pub stream: usize,
-    /// Events to wait on before the chunk's H2D copies (ring-reuse
-    /// evictions), as `(producing chunk, stage)`.
-    pub copy_waits: Vec<(usize, EvKind)>,
-    /// H2D copy runs `(map, first slice, slice count)`, each one
-    /// contiguous in the ring.
-    pub copy_runs: Vec<(usize, i64, usize)>,
-    /// Events to wait on before the kernel launch, with the recorded
-    /// stall cause (cross-stream halo dependency or ring-slot reuse).
-    pub kernel_waits: Vec<(usize, EvKind, WaitCause)>,
-    /// D2H drain runs `(map, first slice, slice count)`.
-    pub out_runs: Vec<(usize, i64, usize)>,
+    /// Waits before the chunk's H2D copies (ring-reuse evictions).
+    pub copy_waits: Range<usize>,
+    /// H2D copy runs.
+    pub copy_runs: Range<usize>,
+    /// Waits before the kernel launch (cross-stream halo dependency or
+    /// ring-slot reuse).
+    pub kernel_waits: Range<usize>,
+    /// D2H drain runs.
+    pub out_runs: Range<usize>,
     /// Ring slots mapped across all arrays once this chunk is classified
     /// (the occupancy counter sample for the trace export).
     pub mapped_slots: usize,
 }
 
-/// Everything the run spent deciding, with the device untouched: the
-/// compiled form of one Pipelined-buffer execution.
+/// How a compiled plan places slices in device memory — the one thing
+/// that separates the paper's three execution models' data movement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// A pitched ring of `ring_slots` slices per array: slice `s` lives
+    /// at slot `s % slots` and kernels pay the region's `index_overhead`
+    /// for the mod-indexing (Pipelined-buffer).
+    Ring,
+    /// Full-size arrays, slice `s` at its own offset; copies move the
+    /// planned slice runs (Pipelined, and Naive over a sub-range).
+    Direct,
+    /// Full-size arrays moved whole: every copy run is one flat transfer
+    /// of the entire array (Naive over its full range).
+    Whole,
+}
+
+/// Everything a run spends deciding, with the device untouched: the
+/// compiled form of one execution under any [`ExecModel`].
 ///
-/// Compiling resolves the plan (including memory-limit shrinking), builds
-/// the window table, assigns chunks to streams, classifies every
-/// residency/hazard decision into [`ChunkStep`]s and interns the plan
-/// label — so replaying the plan only issues device commands. Reusable
-/// across iterations, sweep trials and autotune probes as long as the
-/// region shape, device profile and buffer options are unchanged (the
-/// driver checks, and silently recompiles on mismatch).
+/// Compiling resolves the schedule (including memory-limit shrinking
+/// for the buffered model), builds the window table, assigns chunks to
+/// streams, classifies every residency/hazard decision into
+/// [`ChunkStep`]s and formats the plan label. Two interpreters consume
+/// the result: the executor issues its commands on a device, and the
+/// [`CostModel`](crate::CostModel) walks the same commands analytically.
+///
+/// The three models differ only in plan data:
+///
+/// | | Naive | Pipelined | Pipelined-buffer |
+/// |---|---|---|---|
+/// | [`layout`](Self::layout) | `Whole` (`Direct` over a sub-range) | `Direct` | `Ring` |
+/// | chunks × streams | one step on the default stream | schedule, round-robin | schedule (shrunk to the memory limit) |
+/// | [`sync_each`](Self::sync_each) | yes | no | no |
+/// | [`poll`](Self::poll) | zero | per-queue polling | zero |
+///
+/// Events follow from the layout: a step records its H2D event when it
+/// copies and issues asynchronously, and ring plans also record kernel
+/// and D2H events (ring-slot reuse waits on them).
+///
+/// Reusable across iterations, sweep trials and autotune probes as long
+/// as the model, region shape, device profile and buffer options are
+/// unchanged (the driver checks, and silently recompiles on mismatch).
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
-    /// The resolved schedule (chunks, streams, ring capacities).
+    /// The execution model this plan runs.
+    pub model: ExecModel,
+    /// The resolved schedule (chunks, streams, per-array slots; direct
+    /// layouts hold one slot per slice).
     pub plan: Plan,
     /// Per-map per-chunk dependency ranges.
     pub table: WindowTable,
@@ -399,25 +429,88 @@ pub struct CompiledPlan {
     pub chunk_stream: Vec<usize>,
     /// Per-chunk enqueue recipes, in chunk order.
     pub steps: Vec<ChunkStep>,
-    /// Halo-consumer graph: `dependents[c]` are chunks whose kernels read
-    /// slices chunk `c` copied (used by chunk-granular recovery).
-    pub dependents: Vec<Vec<usize>>,
-    /// Interned `plan(...)` trace label.
-    pub plan_label: String,
+    /// Every step's waits, step after step.
+    pub waits: Vec<StageWait>,
+    /// Every step's copy and drain runs, step after step.
+    pub runs: Vec<SliceRun>,
+    /// Halo-consumer edges `(c, d)`, ascending in `d`: chunk `d`'s kernel
+    /// reads slices chunk `c` copied (used by chunk-granular recovery).
+    pub dependents: Vec<(usize, usize)>,
+    /// Where slices live on the device.
+    pub layout: Layout,
+    /// Issue synchronously: every command on the default stream followed
+    /// by a `stream_synchronize`, and no final device synchronize.
+    pub sync_each: bool,
+    /// Host time charged after every enqueue (the per-queue polling of an
+    /// OpenACC-style async runtime; zero for direct CUDA streams).
+    pub poll: SimTime,
+    /// The `plan(...)` trace label, if the model emits one.
+    pub plan_label: Option<String>,
     pub(crate) key: PlanKey,
+}
+
+impl CompiledPlan {
+    /// The waits `step` issues before its copies.
+    pub fn copy_waits(&self, step: &ChunkStep) -> &[StageWait] {
+        &self.waits[step.copy_waits.clone()]
+    }
+
+    /// The H2D runs `step` copies in.
+    pub fn copy_runs(&self, step: &ChunkStep) -> &[SliceRun] {
+        &self.runs[step.copy_runs.clone()]
+    }
+
+    /// The waits `step` issues before its kernel.
+    pub fn kernel_waits(&self, step: &ChunkStep) -> &[StageWait] {
+        &self.waits[step.kernel_waits.clone()]
+    }
+
+    /// The D2H runs `step` drains.
+    pub fn out_runs(&self, step: &ChunkStep) -> &[SliceRun] {
+        &self.runs[step.out_runs.clone()]
+    }
+
+    /// Does `step` record its completion event for stage `kind`?
+    pub fn records(&self, step: &ChunkStep, kind: EvKind) -> bool {
+        match kind {
+            EvKind::H2d => !self.sync_each && !step.copy_runs.is_empty(),
+            EvKind::Kernel => self.layout == Layout::Ring,
+            EvKind::D2h => self.layout == Layout::Ring && !step.out_runs.is_empty(),
+        }
+    }
+
+    /// Kernel cost multiplier: ring plans pay the region's mod-index
+    /// translation (paper §V-D), which adds instructions *and*
+    /// address-generation pressure, so both roofline terms inflate.
+    pub fn kernel_inflation(&self) -> f64 {
+        match self.layout {
+            Layout::Ring => 1.0 + self.key.spec.index_overhead,
+            Layout::Direct | Layout::Whole => 1.0,
+        }
+    }
+
+    /// Streams the run creates (synchronous plans use the default one).
+    pub fn created_streams(&self) -> usize {
+        if self.sync_each {
+            0
+        } else {
+            self.plan.num_streams
+        }
+    }
 }
 
 /// What a [`CompiledPlan`] was compiled against; replay is valid only for
 /// an identical key.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanKey {
+    pub model: ExecModel,
     pub spec: RegionSpec,
     pub lo: i64,
     pub hi: i64,
     pub profile: DeviceProfile,
-    pub track_residency: bool,
-    pub minimal_slots: bool,
-    pub assignment: StreamAssignment,
+    pub options: BufferOptions,
+    /// Naive over the full range (whole-array transfers).
+    pub whole: bool,
     /// Plans built against caller-supplied window functions carry window
     /// ranges the key cannot describe, so they never match for reuse.
     pub custom_windows: bool,

@@ -2,7 +2,7 @@
 //! backoff, plus the bookkeeping the degradation ladder in [`crate::run`]
 //! builds on.
 //!
-//! The pipelined drivers enqueue chunks as H2D → kernel → D2H triplets on
+//! The pipelined models enqueue chunks as H2D → kernel → D2H triplets on
 //! round-robin streams. When the device surfaces an injected failure (see
 //! [`gpsim::FaultPlan`]), the recovery layer maps the failing sequence
 //! number back to its chunk, waits out an exponential backoff *in
@@ -18,7 +18,8 @@ use gpsim::{EngineKind, FaultStage, Gpu, HostSpanKind, SimError, SimTime};
 
 use crate::error::{RtError, RtResult};
 use crate::exec::Region;
-use crate::report::ExecModel;
+use crate::plan::CompiledPlan;
+use crate::report::{ExecModel, RunReport};
 use crate::spec::MapDir;
 
 /// When (and how hard) the runtime retries failed chunk work.
@@ -248,51 +249,53 @@ pub(crate) struct RecoveryCtx<'p> {
     pub(crate) snapshot: &'p ToFromSnapshot,
 }
 
-/// How a recovery-aware driver finished.
+/// How a recovery-aware run finished.
 pub(crate) enum DriverOutcome {
     /// The run completed (possibly after retries).
-    Done(crate::report::RunReport),
+    Done(RunReport),
     /// A chunk ran out of retry budget; the device is drained and the
-    /// driver's resources are released. `unfinished` lists the iteration
-    /// ranges whose results are not trustworthy, for the degradation
-    /// ladder to re-execute.
-    Exhausted {
-        /// Accounting of the partial run (recovery stats folded in), so
-        /// the ladder can merge it with the fallback's report.
-        report: crate::report::RunReport,
-        /// Chunk index that exhausted its budget.
-        chunk: usize,
-        /// Stage of its last failure.
-        stage: FaultStage,
-        /// Attempts consumed (== the policy's budget).
-        attempts: u32,
-        /// The last underlying error.
-        source: SimError,
-        /// Iteration ranges left unfinished, ascending and disjoint.
-        unfinished: Vec<(i64, i64)>,
-    },
+    /// run's resources are released. The report holds the partial run's
+    /// accounting (recovery stats folded in), so the ladder can merge it
+    /// with the fallback's report.
+    Exhausted(RunReport, Exhaustion),
 }
 
-/// Result of [`drain_with_recovery`], before the driver wraps it into a
-/// [`DriverOutcome`].
-pub(crate) enum DrainResult {
-    /// All chunks finished.
-    Clean {
-        stats: RecoveryStats,
-        /// `(host ns, pending retries)` samples for the
-        /// `retries_in_flight` counter track (empty without retries).
-        retry_samples: Vec<(u64, f64)>,
-    },
-    /// A chunk exceeded the retry budget.
-    Exhausted {
-        chunk: usize,
-        stage: FaultStage,
-        attempts: u32,
-        source: SimError,
-        /// All chunk indices still unfinished (including `chunk`).
-        open: Vec<usize>,
-        stats: RecoveryStats,
-    },
+/// A chunk that exceeded its retry budget, and what is left to redo.
+pub(crate) struct Exhaustion {
+    /// Chunk index that exhausted its budget.
+    pub(crate) chunk: usize,
+    /// Stage of its last failure.
+    pub(crate) stage: FaultStage,
+    /// Attempts consumed (== the policy's budget).
+    pub(crate) attempts: u32,
+    /// The last underlying error.
+    pub(crate) source: SimError,
+    /// Iteration ranges left unfinished (including `chunk`'s), ascending
+    /// and disjoint, for the degradation ladder to re-execute.
+    pub(crate) unfinished: Vec<(i64, i64)>,
+}
+
+impl Exhaustion {
+    /// The error a run of `model` that cannot degrade reports.
+    pub(crate) fn into_error(self, model: ExecModel) -> RtError {
+        RtError::RetriesExhausted {
+            model,
+            chunk: self.chunk,
+            stage: self.stage,
+            attempts: self.attempts,
+            source: self.source,
+        }
+    }
+}
+
+/// What [`drain_with_recovery`] leaves for the run's report.
+pub(crate) struct Drained {
+    pub(crate) stats: RecoveryStats,
+    /// `(host ns, pending retries)` samples for the `retries_in_flight`
+    /// counter track (empty without retries).
+    pub(crate) retry_samples: Vec<(u64, f64)>,
+    /// Set when a chunk ran out of retries (the device is drained).
+    pub(crate) exhausted: Option<Exhaustion>,
 }
 
 fn stage_of(engine: EngineKind) -> FaultStage {
@@ -306,8 +309,8 @@ fn stage_of(engine: EngineKind) -> FaultStage {
 /// Drain the device with chunk-granular retry.
 ///
 /// `chunk_seqs[c]` is the `[first, end)` enqueue-sequence range of chunk
-/// `c`'s original commands; `dependents[c]` lists the chunks whose
-/// kernels consumed input slices that chunk `c` copied (halo sharing), so
+/// `c`'s original commands; the plan's `dependents[c]` lists the chunks
+/// whose kernels consumed input slices that chunk `c` copied (halo sharing), so
 /// an H2D failure retries the consumers too — their kernels read stale
 /// device data and retired without an error of their own. `reissue`
 /// re-enqueues one chunk's full H2D → kernel → D2H triplet (the complete
@@ -317,17 +320,15 @@ fn stage_of(engine: EngineKind) -> FaultStage {
 /// Retries are serialized: each reissue is followed by a full drain, so
 /// at most one retried chunk is in flight at a time and ring-slot
 /// hazards against completed work cannot arise.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn drain_with_recovery(
     gpu: &mut Gpu,
-    model: ExecModel,
     region: &Region,
     ctx: &RecoveryCtx<'_>,
-    chunks: &[(i64, i64)],
+    cp: &CompiledPlan,
     chunk_seqs: &[(u64, u64)],
-    dependents: &[Vec<usize>],
     mut reissue: impl FnMut(&mut Gpu, usize) -> RtResult<u64>,
-) -> RtResult<DrainResult> {
+) -> RtResult<Drained> {
+    let chunks = &cp.plan.chunks;
     let mut stats = RecoveryStats::default();
     let mut retry_samples: Vec<(u64, f64)> = Vec::new();
     let mut attempts = vec![0u32; chunks.len()];
@@ -377,7 +378,7 @@ pub(crate) fn drain_with_recovery(
                         };
                         if !ctx.policy.retryable(stage, &f.error) {
                             return Err(RtError::Device {
-                                model,
+                                model: cp.model,
                                 chunk: c,
                                 stage,
                                 source: f.error,
@@ -397,7 +398,8 @@ pub(crate) fn drain_with_recovery(
                         if stage == FaultStage::H2d {
                             // The failed copy also fed these chunks'
                             // kernels stale slices; re-run them too.
-                            for &d in &dependents[c] {
+                            let dependents = cp.dependents.iter().filter(|e| e.0 == c);
+                            for &(_, d) in dependents {
                                 if let std::collections::btree_map::Entry::Vacant(v) =
                                     open.entry(d)
                                 {
@@ -419,9 +421,10 @@ pub(crate) fn drain_with_recovery(
             if !retry_samples.is_empty() && gpu.timeline_enabled() {
                 retry_samples.push((gpu.now().as_ns(), 0.0));
             }
-            return Ok(DrainResult::Clean {
+            return Ok(Drained {
                 stats,
                 retry_samples,
+                exhausted: None,
             });
         };
         let charged = open.get(&c).copied().unwrap_or(true);
@@ -435,13 +438,16 @@ pub(crate) fn drain_with_recovery(
                         stage: FaultStage::Kernel,
                         occurrence: 0,
                     }));
-                return Ok(DrainResult::Exhausted {
-                    chunk: c,
-                    stage,
-                    attempts: attempts[c] - 1,
-                    source,
-                    open: open.keys().copied().collect(),
+                return Ok(Drained {
                     stats,
+                    retry_samples: Vec::new(),
+                    exhausted: Some(Exhaustion {
+                        chunk: c,
+                        stage,
+                        attempts: attempts[c] - 1,
+                        source,
+                        unfinished: open.keys().map(|&o| chunks[o]).collect(),
+                    }),
                 });
             }
             // Exponential backoff in simulated host time, visible in the

@@ -52,7 +52,7 @@ impl ResumableRun {
     /// slice schedule), and checkpoints the `ToFrom` host windows so a
     /// failed slice can be rolled back.
     pub fn new(gpu: &Gpu, region: &Region) -> RtResult<ResumableRun> {
-        validate_sliceable(region)?;
+        validate_sliceable(&region.spec)?;
         let snapshot = ToFromSnapshot::take(gpu, region)?;
         Ok(ResumableRun {
             region: region.clone(),
@@ -78,13 +78,10 @@ impl ResumableRun {
     /// the slice schedule influence chunking and defeat bit-identity
     /// with the uninterrupted run.
     ///
-    /// [`ExecModel::Naive`] is accepted only for a slice covering the
-    /// *entire* region — no partial slice, and no resuming a job that
-    /// already made progress under another model: the naive driver
-    /// stages *whole* arrays and copies every output back in full, so
-    /// either case would overwrite host slices computed by earlier
-    /// slices with untouched device memory. Naive jobs are effectively
-    /// non-preemptible — they have no chunk boundary to stop at.
+    /// [`ExecModel::Naive`] moves whole arrays only for a slice covering
+    /// the entire region; a partial slice (or one resuming progress made
+    /// under another model) moves just its windows, since whole-array
+    /// write-back would overwrite host slices earlier slices computed.
     pub fn run_slice(
         &mut self,
         gpu: &mut Gpu,
@@ -105,16 +102,9 @@ impl ResumableRun {
         };
         let k0 = self.cursor;
         let k1 = k0.saturating_add(max_iters).min(self.region.hi);
-        if model == ExecModel::Naive && (k0 > self.region.lo || k1 < self.region.hi) {
-            return Err(RtError::Spec(
-                "the naive model stages and writes back whole arrays, so it cannot run \
-                 a partial slice or resume past a checkpoint; it must cover the entire \
-                 region in one slice"
-                    .into(),
-            ));
-        }
+        let sub_range = k0 > self.region.lo || k1 < self.region.hi;
         let sub = Region::new(self.region.spec.clone(), k0, k1, self.region.arrays.clone());
-        match run_ladder(gpu, &sub, builder, model, opts, false) {
+        match run_ladder(gpu, &sub, builder, model, opts, sub_range) {
             Ok(report) => {
                 self.cursor = k1;
                 self.completed.push((k0, k1));
@@ -338,34 +328,47 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn naive_accepts_only_a_full_slice() {
+    /// Run the canonical region slice by slice, taking `(model, slice
+    /// length)` from `plan` in turn (cycled), and return the output.
+    fn sliced(nz: usize, slice: usize, plan: &[(ExecModel, i64)]) -> Vec<f32> {
         let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional).unwrap();
-        let (region, output) = window_region(&mut gpu, 16, 8);
-        let builder = sum3(8);
+        let (region, output) = window_region(&mut gpu, nz, slice);
+        let builder = sum3(slice);
         let opts = RunOptions::default();
         let mut run = ResumableRun::new(&gpu, &region).unwrap();
-        // A partial naive slice would clobber host output slices on its
-        // full-array write-back; it must be refused up front.
-        assert!(matches!(
-            run.run_slice(&mut gpu, &|c| builder(c), ExecModel::Naive, &opts, 3),
-            Err(RtError::Spec(_))
-        ));
-        // The full remaining range is fine and completes the job.
-        run.run_slice(&mut gpu, &|c| builder(c), ExecModel::Naive, &opts, i64::MAX)
-            .unwrap()
-            .expect("not done yet");
-        assert!(run.is_done());
-
-        let mut got = vec![0.0f32; 16 * 8];
+        for &(model, n) in plan.iter().cycle() {
+            if run.is_done() {
+                break;
+            }
+            run.run_slice(&mut gpu, &|c| builder(c), model, &opts, n)
+                .unwrap()
+                .expect("not done yet");
+        }
+        let mut got = vec![0.0f32; nz * slice];
         gpu.host_read(output, 0, &mut got).unwrap();
-        let mut gpu2 = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional).unwrap();
-        let (region2, output2) = window_region(&mut gpu2, 16, 8);
-        crate::run::run_model(&mut gpu2, &region2, &|c| builder(c), ExecModel::Naive, &opts)
-            .unwrap();
-        let mut want = vec![0.0f32; 16 * 8];
-        gpu2.host_read(output2, 0, &mut want).unwrap();
-        assert_eq!(want, got);
+        got
+    }
+
+    /// Pins the "naive slices clobbering output" bug: a partial Naive
+    /// slice that staged and wrote back *whole* arrays would overwrite
+    /// host outputs computed by earlier slices with untouched device
+    /// memory. Partial Naive slices move only their windows.
+    #[test]
+    fn naive_slices_match_an_uninterrupted_naive_run() {
+        let want = sliced(16, 8, &[(ExecModel::Naive, i64::MAX)]);
+        // (a) Naive over partial slices only.
+        let got = sliced(16, 8, &[(ExecModel::Naive, 3)]);
+        assert_eq!(want, got, "partial naive slices diverged");
+        // (b) Naive resuming progress made under the buffered model.
+        let got = sliced(
+            16,
+            8,
+            &[
+                (ExecModel::PipelinedBuffer, 5),
+                (ExecModel::Naive, i64::MAX),
+            ],
+        );
+        assert_eq!(want, got, "naive resume after buffered progress diverged");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The unified run front door: one entry point over every execution
 //! model, with retry and graceful degradation.
 //!
-//! [`run_model`] is the single entry point over the per-model drivers:
+//! [`run_model`] is the single entry point over every execution model:
 //! pick a model (or [`ExecModel::Auto`]), hand over a [`RunOptions`],
 //! and the runtime handles scheduling, fault recovery and fallback:
 //!
@@ -15,27 +15,28 @@
 //!   unfinished iteration ranges and recording the decision in
 //!   [`RunReport::recovery`](crate::RunReport).
 //!
-//! The default [`RunOptions`] disables recovery entirely; the drivers
-//! then take exactly the code path the per-model functions always took.
+//! The default [`RunOptions`] disables recovery entirely. Every model —
+//! every rung of the ladder — compiles to a
+//! [`CompiledPlan`](crate::CompiledPlan) and runs through the one
+//! executor in [`crate::exec`].
 
 use gpsim::{Gpu, SimError};
 
 use crate::autotune::{autotune, TuneSpace};
-use crate::buffer::{buffer_fn_impl, buffer_impl_with, BufferOptions};
+use crate::buffer::{compile_window_fn, BufferOptions};
 use crate::error::{RtError, RtResult};
-use crate::exec::{naive_impl, pipelined_impl, KernelBuilder, PipelinedOptions, Region};
+use crate::exec::{execute, run_plan, KernelBuilder, Region};
 use crate::multi::MultiOptions;
 use crate::plan::WindowFn;
 use crate::recovery::{
     Degradation, DriverOutcome, RecoveryCtx, RecoveryStats, RetryPolicy, ToFromSnapshot,
 };
 use crate::report::{ExecModel, RunReport};
-use crate::spec::Schedule;
 
 /// Everything the unified front door can be told about a run.
 ///
 /// `RunOptions::default()` reproduces the historical behavior exactly:
-/// no retry, no degradation, default driver tuning.
+/// no retry, no degradation, the paper's prototype buffer settings.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Fault-recovery policy (disabled by default).
@@ -44,9 +45,7 @@ pub struct RunOptions {
     /// Naive`) when retries are exhausted or a memory limit is
     /// infeasible, instead of failing the run.
     pub degrade: bool,
-    /// Tuning knobs of the Pipelined driver.
-    pub pipelined: PipelinedOptions,
-    /// Ablation switches of the Pipelined-buffer driver.
+    /// Ablation switches of the Pipelined-buffer model.
     pub buffer: BufferOptions,
     /// Candidate grid for [`ExecModel::Auto`].
     pub tune: TuneSpace,
@@ -82,14 +81,7 @@ impl RunOptions {
         self
     }
 
-    /// Set the Pipelined driver options.
-    #[must_use]
-    pub fn with_pipelined(mut self, opts: PipelinedOptions) -> RunOptions {
-        self.pipelined = opts;
-        self
-    }
-
-    /// Set the Pipelined-buffer driver options.
+    /// Set the Pipelined-buffer model options.
     #[must_use]
     pub fn with_buffer(mut self, opts: BufferOptions) -> RunOptions {
         self.buffer = opts;
@@ -153,6 +145,32 @@ pub fn run_window_fn(
     windows: &[Option<&WindowFn<'_>>],
     opts: &RunOptions,
 ) -> RtResult<RunReport> {
+    let (outcome, _) = retrying(gpu, region, opts, |gpu, recovery, _| {
+        let cp = compile_window_fn(gpu, region, windows)?;
+        execute(gpu, region, builder, &cp, recovery, false)
+    })?;
+    match outcome {
+        DriverOutcome::Done(report) => Ok(report),
+        DriverOutcome::Exhausted(report, x) => Err(x.into_error(report.model)),
+    }
+}
+
+/// Run `attempt` with the retry policy: chunk-granular recovery inside
+/// each attempt, and whole-run retry (after a backoff, from the `ToFrom`
+/// checkpoint) when an attempt fails with a retryable injected fault —
+/// setup-phase alloc faults, Naive-model faults. Returns the outcome,
+/// with the whole-run retries folded into its report, and the
+/// checkpoint.
+fn retrying(
+    gpu: &mut Gpu,
+    region: &Region,
+    opts: &RunOptions,
+    mut attempt: impl FnMut(
+        &mut Gpu,
+        Option<&RecoveryCtx<'_>>,
+        &mut RecoveryStats,
+    ) -> RtResult<DriverOutcome>,
+) -> RtResult<(DriverOutcome, ToFromSnapshot)> {
     let snapshot = if opts.retry.enabled() {
         ToFromSnapshot::take(gpu, region)?
     } else {
@@ -165,159 +183,47 @@ pub fn run_window_fn(
             policy: &opts.retry,
             snapshot: &snapshot,
         };
-        let recovery = opts.retry.enabled().then_some(&rctx);
-        match buffer_fn_impl(gpu, region, builder, windows, recovery) {
-            Ok(DriverOutcome::Done(mut report)) => {
+        let e = match attempt(gpu, opts.retry.enabled().then_some(&rctx), &mut extra) {
+            Ok(mut outcome) => {
+                let (DriverOutcome::Done(report) | DriverOutcome::Exhausted(report, _)) =
+                    &mut outcome;
                 report.recovery.merge(&extra);
-                return Ok(report);
+                return Ok((outcome, snapshot));
             }
-            Ok(DriverOutcome::Exhausted {
-                report,
-                chunk,
-                stage,
-                attempts,
-                source,
-                ..
-            }) => {
-                return Err(RtError::RetriesExhausted {
-                    model: report.model,
-                    chunk,
-                    stage,
-                    attempts,
-                    source,
-                });
+            Err(e) => e,
+        };
+        let stage = match &e {
+            RtError::Sim(s @ SimError::Injected { stage, .. })
+                if opts.retry.retryable(*stage, s) && whole_attempts < opts.retry.max_attempts =>
+            {
+                *stage
             }
-            Err(e) => {
-                whole_run_retry(gpu, region, &snapshot, opts, &mut extra, &mut whole_attempts, e)?;
-            }
-        }
+            _ => return Err(e),
+        };
+        whole_attempts += 1;
+        extra.retries[stage.index()] += 1;
+        let t0 = gpu.now();
+        gpu.host_busy(opts.retry.backoff_for(whole_attempts));
+        extra.backoff_time += gpu.now() - t0;
+        snapshot.restore_all(gpu, region)?;
     }
-}
-
-/// Handle a driver-level error by whole-run retry when it is a retryable
-/// injected fault (setup-phase alloc faults, Naive-model faults) and the
-/// budget allows; otherwise propagate it. On `Ok(())` the caller loops.
-fn whole_run_retry(
-    gpu: &mut Gpu,
-    region: &Region,
-    snapshot: &ToFromSnapshot,
-    opts: &RunOptions,
-    extra: &mut RecoveryStats,
-    whole_attempts: &mut u32,
-    e: RtError,
-) -> RtResult<()> {
-    let (stage, retryable) = match &e {
-        RtError::Sim(s @ SimError::Injected { stage, .. }) => {
-            (*stage, opts.retry.retryable(*stage, s))
-        }
-        _ => return Err(e),
-    };
-    if !retryable || *whole_attempts >= opts.retry.max_attempts {
-        return Err(e);
-    }
-    *whole_attempts += 1;
-    extra.retries[stage.index()] += 1;
-    let t0 = gpu.now();
-    gpu.host_busy(opts.retry.backoff_for(*whole_attempts));
-    extra.backoff_time += gpu.now() - t0;
-    snapshot.restore_all(gpu, region)?;
-    Ok(())
 }
 
 /// Run one concrete model with recovery, descending the degradation
-/// ladder as needed. `as_fallback` marks recursive invocations over
-/// unfinished sub-ranges (it changes how the Naive rung executes — see
-/// below).
+/// ladder as needed. `sub_range` marks a region that is part of a larger
+/// run — a fallback over unfinished chunks, or a preemption slice — so
+/// the Naive rung moves only its windows instead of whole arrays (which
+/// would overwrite host outputs the other ranges produced).
 pub(crate) fn run_ladder(
     gpu: &mut Gpu,
     region: &Region,
     builder: &KernelBuilder<'_>,
     mut model: ExecModel,
     opts: &RunOptions,
-    as_fallback: bool,
+    sub_range: bool,
 ) -> RtResult<RunReport> {
-    let snapshot = if opts.retry.enabled() {
-        ToFromSnapshot::take(gpu, region)?
-    } else {
-        ToFromSnapshot::empty(region)
-    };
-    let mut extra = RecoveryStats::default();
-    let mut whole_attempts = 0u32;
-    loop {
-        let rctx = RecoveryCtx {
-            policy: &opts.retry,
-            snapshot: &snapshot,
-        };
-        match run_driver(gpu, region, builder, model, opts, &rctx, as_fallback) {
-            Ok(DriverOutcome::Done(mut report)) => {
-                report.recovery.merge(&extra);
-                return Ok(report);
-            }
-            Ok(DriverOutcome::Exhausted {
-                mut report,
-                chunk,
-                stage,
-                attempts,
-                source,
-                unfinished,
-            }) => {
-                let from = report.model;
-                let to = match from {
-                    ExecModel::PipelinedBuffer => ExecModel::Pipelined,
-                    ExecModel::Pipelined => ExecModel::Naive,
-                    // The Naive rung retries at whole-run granularity, so
-                    // chunk exhaustion cannot reach here; treat it as the
-                    // bottom of the ladder.
-                    _ => {
-                        return Err(RtError::RetriesExhausted {
-                            model: from,
-                            chunk,
-                            stage,
-                            attempts,
-                            source,
-                        })
-                    }
-                };
-                if !opts.degrade {
-                    return Err(RtError::RetriesExhausted {
-                        model: from,
-                        chunk,
-                        stage,
-                        attempts,
-                        source,
-                    });
-                }
-                report.recovery.merge(&extra);
-                let reason = format!(
-                    "retries exhausted on chunk {chunk} ({stage} stage) after {attempts} attempts: {source}"
-                );
-                // The unfinished windows' ToFrom host data may hold stale
-                // drains from failed attempts; reset them before the
-                // fallback re-reads them.
-                for &(k0, k1) in &unfinished {
-                    snapshot.restore_window(gpu, region, k0, k1)?;
-                }
-                for (k0, k1) in coalesce(&unfinished) {
-                    report.recovery.degradations.push(Degradation {
-                        from,
-                        to,
-                        iterations: (k0, k1),
-                        reason: reason.clone(),
-                    });
-                    let mut sub = region.clone();
-                    sub.lo = k0;
-                    sub.hi = k1;
-                    let fb = run_ladder(gpu, &sub, builder, to, opts, true).map_err(|e| {
-                        RtError::Degraded {
-                            from,
-                            to,
-                            reason: format!("{reason}; fallback failed: {e}"),
-                        }
-                    })?;
-                    absorb(&mut report, &fb);
-                }
-                return Ok(report);
-            }
+    let (outcome, snapshot) = retrying(gpu, region, opts, |gpu, recovery, extra| loop {
+        match run_plan(gpu, region, builder, model, opts, recovery, sub_range) {
             Err(RtError::MemLimitInfeasible { limit, needed })
                 if opts.degrade && model == ExecModel::PipelinedBuffer =>
             {
@@ -334,72 +240,52 @@ pub(crate) fn run_ladder(
                 });
                 model = ExecModel::Pipelined;
             }
-            Err(e) => {
-                whole_run_retry(gpu, region, &snapshot, opts, &mut extra, &mut whole_attempts, e)?;
-            }
+            outcome => return outcome,
         }
+    })?;
+    let (mut report, x) = match outcome {
+        DriverOutcome::Done(report) => return Ok(report),
+        DriverOutcome::Exhausted(report, x) => (report, x),
+    };
+    let from = report.model;
+    let to = match from {
+        ExecModel::PipelinedBuffer => ExecModel::Pipelined,
+        ExecModel::Pipelined => ExecModel::Naive,
+        // The Naive rung issues synchronously and retries at whole-run
+        // granularity, so chunk exhaustion cannot reach here; treat it as
+        // the bottom of the ladder.
+        _ => return Err(x.into_error(from)),
+    };
+    if !opts.degrade {
+        return Err(x.into_error(from));
     }
-}
-
-/// Dispatch one driver invocation.
-fn run_driver(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    model: ExecModel,
-    opts: &RunOptions,
-    rctx: &RecoveryCtx<'_>,
-    as_fallback: bool,
-) -> RtResult<DriverOutcome> {
-    let recovery = opts.retry.enabled().then_some(rctx);
-    match model {
-        ExecModel::Naive if as_fallback => {
-            // Naive-rung fallback over a sub-range: a true naive run
-            // drains *full* arrays device→host, which would overwrite
-            // host output ranges that completed chunks already produced.
-            // Run the sub-range as one chunk on one stream instead —
-            // naive semantics (zero overlap), window-granular transfers —
-            // and label it Naive.
-            let mut sub = region.clone();
-            let iters = (region.hi - region.lo).max(1) as usize;
-            sub.spec.schedule = Schedule::static_(iters, 1);
-            match pipelined_impl(gpu, &sub, builder, &opts.pipelined, recovery)? {
-                DriverOutcome::Done(mut r) => {
-                    r.model = ExecModel::Naive;
-                    Ok(DriverOutcome::Done(r))
-                }
-                DriverOutcome::Exhausted {
-                    mut report,
-                    chunk,
-                    stage,
-                    attempts,
-                    source,
-                    unfinished,
-                } => {
-                    report.model = ExecModel::Naive;
-                    Ok(DriverOutcome::Exhausted {
-                        report,
-                        chunk,
-                        stage,
-                        attempts,
-                        source,
-                        unfinished,
-                    })
-                }
-            }
-        }
-        ExecModel::Naive => naive_impl(gpu, region, builder).map(DriverOutcome::Done),
-        ExecModel::Pipelined => pipelined_impl(gpu, region, builder, &opts.pipelined, recovery),
-        ExecModel::PipelinedBuffer => buffer_impl_with(
-            gpu,
-            region,
-            builder,
-            &opts.buffer,
-            recovery,
-            opts.compiled.as_deref(),
-        ),
-        ExecModel::Auto => unreachable!("Auto is resolved by run_model"),
+    let reason = format!(
+        "retries exhausted on chunk {} ({} stage) after {} attempts: {}",
+        x.chunk, x.stage, x.attempts, x.source
+    );
+    // The unfinished windows' ToFrom host data may hold stale drains from
+    // failed attempts; reset them before the fallback re-reads them.
+    for &(k0, k1) in &x.unfinished {
+        snapshot.restore_window(gpu, region, k0, k1)?;
     }
+    for (k0, k1) in coalesce(&x.unfinished) {
+        report.recovery.degradations.push(Degradation {
+            from,
+            to,
+            iterations: (k0, k1),
+            reason: reason.clone(),
+        });
+        let mut sub = region.clone();
+        sub.lo = k0;
+        sub.hi = k1;
+        let fb = run_ladder(gpu, &sub, builder, to, opts, true).map_err(|e| RtError::Degraded {
+            from,
+            to,
+            reason: format!("{reason}; fallback failed: {e}"),
+        })?;
+        absorb(&mut report, &fb);
+    }
+    Ok(report)
 }
 
 /// Merge adjacent unfinished chunk ranges so the fallback runs once per

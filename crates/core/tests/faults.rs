@@ -206,6 +206,63 @@ fn ladder_degrades_to_pipelined_and_finishes() {
     assert!(d.reason.contains("retries exhausted"), "{}", d.reason);
 }
 
+/// Both pipelined rungs exhaust their retries on one chunk, so the
+/// ladder bottoms out at Naive over that chunk's sub-range. The Naive
+/// rung must move only the sub-range's windows: whole-array write-back
+/// would overwrite the outputs the other chunks already produced.
+#[test]
+fn ladder_reaches_naive_over_a_sub_range() {
+    let mut g = gpu();
+    let region = setup(&mut g, 2, 3);
+    run_model(
+        &mut g,
+        &region,
+        &stencil_builder,
+        ExecModel::PipelinedBuffer,
+        &RunOptions::default(),
+    )
+    .unwrap();
+    let clean = read(&g, &region, 1);
+
+    g.host_fill(region.arrays[1], |_| -1.0).unwrap();
+    // Seven chunks: kernel occurrence 3 is chunk [7, 9) and 7 its one
+    // reissue; the Pipelined fallback over [7, 9) launches 8 and
+    // reissues 9. Occurrence 10, the Naive launch, runs clean.
+    let plan = [3, 7, 8, 9]
+        .into_iter()
+        .fold(FaultPlan::seeded(23), |p, n| {
+            p.target(FaultStage::Kernel, n)
+        });
+    g.set_fault_plan(Some(plan));
+    let opts = RunOptions::default()
+        .with_retry(RetryPolicy::retries(1).with_backoff(SimTime::from_us(10), 2.0))
+        .with_degrade(true);
+    let report = run_model(
+        &mut g,
+        &region,
+        &stencil_builder,
+        ExecModel::PipelinedBuffer,
+        &opts,
+    )
+    .unwrap();
+    g.set_fault_plan(None);
+
+    assert_eq!(read(&g, &region, 1), clean, "degraded run diverged");
+    let rungs: Vec<_> = report
+        .recovery
+        .degradations
+        .iter()
+        .map(|d| (d.from, d.to, d.iterations))
+        .collect();
+    assert_eq!(
+        rungs,
+        vec![
+            (ExecModel::PipelinedBuffer, ExecModel::Pipelined, (7, 9)),
+            (ExecModel::Pipelined, ExecModel::Naive, (7, 9)),
+        ]
+    );
+}
+
 #[test]
 fn infeasible_mem_limit_degrades_when_allowed() {
     let mut g = gpu();

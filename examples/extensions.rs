@@ -7,8 +7,8 @@
 //! ```
 
 use gpsim::{DeviceProfile, ExecMode, Gpu, HostPool, KernelCost, KernelLaunch};
-use dbpp_core::prelude::*;
-use dbpp_core::{autotune, WindowFn};
+use dbpp::prelude::*;
+use dbpp::rt::{autotune, WindowFn};
 
 const NZ: usize = 96;
 const SLICE: usize = 1 << 18; // 1 MB slices

@@ -12,7 +12,7 @@ use gpsim::{
     DeviceProfile, ExecMode, FaultPlan, FaultStage, Gpu, KernelCost, KernelLaunch, SimTime,
 };
 use pipeline_directive::parse_directive;
-use dbpp_core::prelude::*;
+use dbpp::prelude::*;
 
 const NZ: usize = 256;
 const SLICE: usize = 16 * 1024;

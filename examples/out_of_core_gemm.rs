@@ -11,7 +11,7 @@
 use gpsim::{DeviceProfile, ExecMode, Gpu};
 use pipeline_apps::util::{max_rel_error, read_host};
 use pipeline_apps::MatmulConfig;
-use dbpp_core::prelude::RtError;
+use dbpp::prelude::RtError;
 
 fn main() {
     // Part 1 (timing mode, paper scale): n = 24576 — three matrices of

@@ -10,7 +10,7 @@
 use gpsim::{DeviceProfile, ExecMode, Gpu};
 use pipeline_apps::util::{assert_exact, read_host};
 use pipeline_apps::QcdConfig;
-use dbpp_core::prelude::*;
+use dbpp::prelude::*;
 
 fn main() {
     println!("{:<8} {:>10} {:>10} {:>10} {:>9} {:>10} {:>10}",

@@ -8,7 +8,7 @@
 
 use gpsim::{DeviceProfile, ExecMode, Gpu, KernelCost, KernelLaunch};
 use pipeline_directive::parse_directive;
-use dbpp_core::prelude::*;
+use dbpp::prelude::*;
 
 fn main() {
     // A simulated Tesla K40m in functional mode: kernels really execute

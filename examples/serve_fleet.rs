@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example serve_fleet`
 
-use dbpp_core::prelude::*;
+use dbpp::prelude::*;
 
 fn main() -> RtResult<()> {
     let tenants = vec![

@@ -12,7 +12,7 @@
 use gpsim::{DeviceProfile, ExecMode, Gpu, SimTime};
 use pipeline_apps::util::{max_rel_error, read_host};
 use pipeline_apps::StencilConfig;
-use dbpp_core::prelude::*;
+use dbpp::prelude::*;
 
 const SWEEPS: usize = 4;
 

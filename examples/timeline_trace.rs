@@ -10,7 +10,7 @@
 
 use gpsim::{render_gantt, to_chrome_trace, utilization, DeviceProfile, ExecMode, Gpu};
 use pipeline_apps::StencilConfig;
-use dbpp_core::prelude::*;
+use dbpp::prelude::*;
 
 fn main() {
     let cfg = StencilConfig {

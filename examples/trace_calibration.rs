@@ -12,8 +12,8 @@
 //! ```
 
 use gpsim::{to_perfetto_trace, DeviceProfile, ExecMode, Gpu};
-use dbpp_core::prelude::*;
-use dbpp_core::{calibrate_with_fit, fit_profile, ImportedTrace};
+use dbpp::prelude::*;
+use dbpp::rt::{calibrate_with_fit, fit_profile, ImportedTrace};
 use pipeline_apps::StencilConfig;
 
 fn run_and_export(cfg: &StencilConfig) -> (Gpu, pipeline_rt::Region, String) {

@@ -24,8 +24,9 @@
 //!   fair-share scheduling, cost-model placement and chunk-granular
 //!   preemption over a shared heterogeneous fleet.
 //!
-//! Applications normally import through [`dbpp_core::prelude`] — the
-//! curated stable surface — rather than navigating these modules.
+//! Applications normally import through [`prelude`] — the curated
+//! stable surface, one `use dbpp::prelude::*;` away — rather than
+//! navigating these modules.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and
 //! `crates/bench` for the harness that regenerates every figure of the
@@ -33,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub use dbpp_core as core;
 pub use gpsim as sim;
 pub use pipeline_apps as apps;
 pub use pipeline_directive as directive;
@@ -42,6 +42,35 @@ pub use pipeline_serve as serve;
 
 /// Crate version (workspace-wide).
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+
+/// The curated stable surface: everything a typical pipeline
+/// application needs, importable in one line. Anything it deliberately
+/// leaves out (trace tooling, plan internals, sweep helpers) stays one
+/// module away in [`rt`] and [`serve`].
+pub mod prelude {
+    // Entry points.
+    pub use pipeline_rt::{run_model, run_model_multi, run_window_fn};
+    // The pipeline description and its pieces.
+    pub use pipeline_rt::{
+        Affine, ChunkCtx, KernelBuilder, MapDir, MapSpec, Pipeline, Region, RegionSpec, Schedule,
+        SplitSpec,
+    };
+    // Options and policies.
+    pub use pipeline_rt::{
+        BufferOptions, ExecModel, MultiOptions, RetryPolicy, RunOptions, StreamAssignment,
+        TuneSpace,
+    };
+    // Results and errors.
+    pub use pipeline_rt::{MultiReport, RtError, RtResult, RunReport};
+    // Preemptible execution.
+    pub use pipeline_rt::{JobReport, ResumableRun};
+    // Serving: the server, its policies (admission, queue order,
+    // breaker) and the report types.
+    pub use pipeline_serve::{
+        serve, BreakerConfig, Fleet, JobShape, JobSpec, QueueOrder, RateLimit, Rejection,
+        ServeOptions, ServeReport, TenantSpec, WorkloadConfig,
+    };
+}
 
 #[cfg(test)]
 mod tests {
@@ -59,5 +88,18 @@ mod tests {
         let jobs = crate::serve::WorkloadConfig::new(1, 2, 1).generate();
         assert_eq!(jobs.len(), 2);
         assert!(!crate::VERSION.is_empty());
+    }
+
+    #[test]
+    fn prelude_is_importable_and_usable() {
+        use crate::prelude::*;
+        // A couple of representative items, touched so the re-exports
+        // are proven live, not just name-resolvable.
+        let opts = RunOptions::default().with_retry(RetryPolicy::retries(1));
+        let _ = opts;
+        let model: ExecModel = ExecModel::PipelinedBuffer;
+        assert_eq!(format!("{model:?}"), "PipelinedBuffer");
+        let w = WorkloadConfig::new(7, 3, 2);
+        assert_eq!(w.generate().len(), 3);
     }
 }

@@ -6,8 +6,8 @@
 use dbpp::apps::util::{assert_exact, read_host};
 use dbpp::directive::parse_directive;
 use dbpp::sim::{DeviceProfile, ExecMode, Gpu, HostPool, KernelCost, KernelLaunch};
-use dbpp_core::autotune;
-use dbpp_core::prelude::*;
+use dbpp::rt::autotune;
+use dbpp::prelude::*;
 
 const NZ: usize = 24;
 const NY: usize = 10;

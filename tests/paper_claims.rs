@@ -7,7 +7,7 @@
 
 use dbpp::apps::{Conv3dConfig, QcdConfig, StencilConfig};
 use dbpp::sim::{DeviceProfile, ExecMode, Gpu};
-use dbpp_core::prelude::*;
+use dbpp::prelude::*;
 
 fn k40m() -> Gpu {
     Gpu::new(DeviceProfile::k40m(), ExecMode::Timing).unwrap()
