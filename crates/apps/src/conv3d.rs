@@ -12,8 +12,8 @@ use pipeline_rt::{ChunkCtx, Region, RtError, RtResult};
 use crate::util::fill_random;
 
 /// One k-plane of the 11-tap convolution, scalar-indexed: the
-/// pre-blocking kernel body, kept as the bit-exact reference and the
-/// baseline the `kernel_bodies` bench compares against.
+/// pre-blocking kernel body, kept as the bit-exact reference the
+/// blocked body is tested against.
 pub fn conv3d_plane_scalar(out: &mut [f32], km: &[f32], kmid: &[f32], kp: &[f32], ni: usize, nj: usize) {
     let [c11, c12, c13, c21, c22, c23, c31, c32, c33] = Conv3dConfig::C;
     for j in 1..nj - 1 {

@@ -32,8 +32,8 @@ const GEMM_JB: usize = 512;
 
 /// Scalar i-j-k GEMM accumulating into `c` (which must be zeroed): one
 /// register accumulator per output element. This is the pre-blocking
-/// kernel body, kept as the bit-exact reference and the baseline the
-/// `kernel_bodies` bench compares against.
+/// kernel body, kept as the bit-exact reference the blocked body is
+/// tested against.
 pub fn gemm_scalar(c: &mut [f32], a: &[f32], b: &[f32], n: usize) {
     for i in 0..n {
         for j in 0..n {

@@ -294,7 +294,7 @@ fn mat_dag_vec_sub(u: &[f32], site: usize, mu: usize, v: &Vec3, acc: &mut Vec3) 
 
 /// One hopping sweep for one time slice, scalar-indexed: the pre-PR
 /// kernel body, kept as the bit-exact reference ([`QcdConfig::cpu_reference`]
-/// uses it) and the baseline the `kernel_bodies` bench compares against.
+/// uses it) the optimized sweep is tested against.
 /// Spatial directions (μ = 0,1,2) are periodic; the temporal direction
 /// (μ = 3) couples the neighbouring slices.
 pub fn hopping_sweep_scalar(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {

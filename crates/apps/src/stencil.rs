@@ -13,8 +13,8 @@ use pipeline_rt::{ChunkCtx, Region, RtError, RtResult};
 use crate::util::fill_random;
 
 /// One z-plane of the 7-point sweep, scalar-indexed: the pre-blocking
-/// kernel body, kept as the bit-exact reference and the baseline the
-/// `kernel_bodies` bench compares against.
+/// kernel body, kept as the bit-exact reference the blocked body is
+/// tested against.
 #[allow(clippy::too_many_arguments)]
 pub fn stencil_plane_scalar(
     out: &mut [f32],

@@ -4,7 +4,6 @@
 //! cargo run --release -p pipeline-bench --bin figures              # all
 //! cargo run --release -p pipeline-bench --bin figures -- fig5      # one
 //! cargo run --release -p pipeline-bench --bin figures -- --csv out # + CSVs
-//! cargo run --release -p pipeline-bench --bin figures -- perf --functional
 //! ```
 
 use std::fs;
@@ -12,7 +11,7 @@ use std::path::PathBuf;
 
 use pipeline_bench::{
     ablate, calibrate, chaos, failover, faults, fig3, fig4, fig56, fig7, fig8, fig910, fleet,
-    header, model, perf, serve, trace,
+    header, model, serve, trace,
 };
 
 fn main() {
@@ -31,11 +30,6 @@ fn main() {
     if let Some(dir) = &csv_dir {
         fs::create_dir_all(dir).expect("create csv dir");
     }
-    let functional = args
-        .iter()
-        .position(|a| a == "--functional")
-        .map(|i| args.remove(i))
-        .is_some();
     let smoke = args
         .iter()
         .position(|a| a == "--smoke")
@@ -75,7 +69,7 @@ fn main() {
         });
     const KNOWN: &[&str] = &[
         "all", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-        "future", "ablations", "perf", "model", "trace", "faults", "failover", "fleet",
+        "future", "ablations", "model", "trace", "faults", "failover", "fleet",
         "calibrate", "serve", "chaos",
     ];
     for a in &args {
@@ -226,40 +220,6 @@ fn main() {
         }
         write_csv("ablations.csv", csv);
     }
-    if want("perf") {
-        header("Sweep-engine throughput — fixed figure sweep, serial vs parallel");
-        let rep = perf::run(36);
-        perf::print(&rep);
-        if functional {
-            header("Functional kernel bodies — scalar vs blocked, fixed mid-size shapes");
-            let rows = perf::run_functional();
-            perf::print_functional(&rows);
-            let mut csv = String::from(
-                "app,shape,out_elems,reps,scalar_ms,blocked_ms,speedup,scalar_elems_per_sec,blocked_elems_per_sec\n",
-            );
-            for r in &rows {
-                csv.push_str(&format!(
-                    "{},{},{},{},{:.3},{:.3},{:.3},{:.1},{:.1}\n",
-                    r.app,
-                    r.shape,
-                    r.out_elems,
-                    r.reps,
-                    r.scalar_ms,
-                    r.blocked_ms,
-                    r.speedup(),
-                    r.scalar_elems_per_sec(),
-                    r.elems_per_sec(),
-                ));
-            }
-            write_csv("functional.csv", csv);
-            fs::write("BENCH_sim.json", perf::combined_json(&rep, &rows))
-                .expect("write BENCH_sim.json");
-        } else {
-            fs::write("BENCH_sim.json", perf::combined_json(&rep, &[]))
-                .expect("write BENCH_sim.json");
-        }
-        eprintln!("wrote BENCH_sim.json");
-    }
     if want("model") {
         header(if smoke {
             "Cost-model accuracy — predicted vs simulated makespan, smoke grid"
@@ -269,12 +229,8 @@ fn main() {
         let rep = model::run(smoke);
         model::print(&rep);
         write_csv("model.csv", model::csv(&rep));
-        // Merge into BENCH_sim.json rather than overwrite: `figures perf`
-        // writes the sweep/functional sections of the same file.
-        let existing = fs::read_to_string("BENCH_sim.json").unwrap_or_default();
-        let merged = model::upsert_key(&existing, "model", &model::json(&rep));
-        fs::write("BENCH_sim.json", merged).expect("write BENCH_sim.json");
-        eprintln!("wrote BENCH_sim.json (model section)");
+        fs::write("MODEL_sim.json", model::json(&rep)).expect("write MODEL_sim.json");
+        eprintln!("wrote MODEL_sim.json");
         let med = rep.median_err();
         if med > model::MAX_MEDIAN_ERR {
             eprintln!(

@@ -218,7 +218,7 @@ pub fn print(sweep: &FaultSweep) {
 }
 
 /// The `FAULTS_sim.json` payload: one record per rate, plus the clean
-/// baseline, in the same flat style as `BENCH_sim.json`.
+/// baseline.
 pub fn json(sweep: &FaultSweep) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"shape\": \"{}\",\n", sweep.shape));

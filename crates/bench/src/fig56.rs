@@ -63,7 +63,7 @@ fn run_three(
 pub const N_TRIALS: usize = 5;
 
 /// Run one benchmark column (`0 ≤ i <` [`N_TRIALS`]) on a fresh context.
-/// The unit of work the sweep pool — and the perf harness — fans out.
+/// The unit of work the sweep pool fans out.
 pub fn run_trial(i: usize) -> BenchRow {
     let mut gpu = gpu_k40m();
     match i {

@@ -283,9 +283,13 @@ mod tests {
 
     #[test]
     fn floor_check_flags_regressions() {
+        // Fixed boundary cases, independent of this host's speed: the
+        // gate admits exactly 0.8 x the floor and rejects anything below.
         let mut t = run_tier(6);
-        assert!(check_floor(std::slice::from_ref(&t)).is_ok() || t.cmds_per_sec_core < 0.8 * FLOOR_CMDS_PER_SEC_CORE);
-        t.cmds_per_sec_core = 1.0;
+        let min = 0.8 * FLOOR_CMDS_PER_SEC_CORE;
+        t.cmds_per_sec_core = min;
+        assert!(check_floor(std::slice::from_ref(&t)).is_ok());
+        t.cmds_per_sec_core = min.next_down();
         assert!(check_floor(std::slice::from_ref(&t)).is_err());
     }
 }

@@ -3,9 +3,8 @@
 //! One module per figure of the paper's evaluation section (§V). Each
 //! module exposes `run(...)` returning structured rows and a
 //! `print(...)` that formats them the way the paper reports them. The
-//! `figures` binary drives all of them at paper scale; the Criterion
-//! benches (in `benches/`) measure the host-side cost of the same
-//! harnesses at reduced scale.
+//! `figures` binary drives all of them at paper scale. Host wall-clock
+//! is measured separately, by the repository's `benchmark/` package.
 //!
 //! | Module | Paper artefact |
 //! |---|---|
@@ -17,7 +16,6 @@
 //! | [`fig910`]| Figs. 9 & 10 — GEMM speedup and memory vs problem size |
 //! | [`ablate`]| Ablations of the runtime's design choices (DESIGN.md §7) |
 //! | [`future_hw`] | Forward-looking study on a Pascal-class profile |
-//! | [`perf`]  | Sweep-engine throughput (serial vs parallel wall-clock) |
 //! | [`faults`]| Overhead of resilience: recovery cost vs fault rate |
 //! | [`failover`]| Multi-GPU device-loss failover + straggler rebalancing |
 //! | [`model`] | Analytic cost-model accuracy vs the DES (fig4 + fig8 grids) |
@@ -54,7 +52,6 @@ pub mod fig910;
 pub mod fleet;
 pub mod future_hw;
 pub mod model;
-pub mod perf;
 pub mod serve;
 pub mod trace;
 

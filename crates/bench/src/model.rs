@@ -5,10 +5,10 @@
 //! Every row pairs one [`CostModel::predict`] estimate with the measured
 //! makespan of the same configuration simulated end-to-end, and reports
 //! the relative error. The `figures model [--smoke]` subcommand prints
-//! the table, merges a `"model"` section into `BENCH_sim.json`, and
-//! exits non-zero when the median error exceeds [`MAX_MEDIAN_ERR`] — the
-//! committed accuracy floor that makes the O(1) model-based autotuner
-//! trustworthy as the default strategy.
+//! the table, writes it as `MODEL_sim.json`, and exits non-zero when the
+//! median error exceeds [`MAX_MEDIAN_ERR`] — the committed accuracy
+//! floor that makes the O(1) model-based autotuner trustworthy as the
+//! default strategy.
 
 use pipeline_apps::{Conv3dConfig, QcdConfig, StencilConfig};
 use pipeline_rt::{
@@ -333,7 +333,7 @@ pub fn csv(rep: &ModelReport) -> String {
     s
 }
 
-/// The `"model"` section value merged into `BENCH_sim.json`.
+/// The `MODEL_sim.json` document.
 pub fn json(rep: &ModelReport) -> String {
     let mut rows = String::new();
     for (i, r) in rep.rows.iter().enumerate() {
@@ -358,31 +358,6 @@ pub fn json(rep: &ModelReport) -> String {
         o.total_ms,
         o.final_schedule
     )
-}
-
-/// Insert or replace top-level key `key` of JSON object `doc` with
-/// `value` (itself a serialized JSON value), preserving every other
-/// key's content and position. `figures model` uses this to merge its
-/// section into a `BENCH_sim.json` that `figures perf` wrote wholesale.
-///
-/// Parse–modify–serialize through the in-tree [`gpsim::json`] module:
-/// the document is parsed into an order-preserving object, the key
-/// replaced or appended, and the whole document re-serialized with
-/// [`Json::dump`](gpsim::json::Json::dump). A `doc` that is not a JSON
-/// object (or `value` that is not valid JSON) is replaced by a fresh
-/// object holding only `key`.
-pub fn upsert_key(doc: &str, key: &str, value: &str) -> String {
-    use gpsim::json::{parse, Json};
-    let val = parse(value).unwrap_or(Json::Null);
-    let mut fields = match parse(doc) {
-        Ok(Json::Obj(fields)) => fields,
-        _ => Vec::new(),
-    };
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = val,
-        None => fields.push((key.to_string(), val)),
-    }
-    Json::Obj(fields).dump()
 }
 
 #[cfg(test)]
@@ -412,72 +387,5 @@ mod tests {
         assert!(parsed.get("rows").and_then(|r| r.as_arr()).is_some());
         let csv = csv(&rep);
         assert_eq!(csv.lines().count(), rep.rows.len() + 1);
-    }
-
-    #[test]
-    fn upsert_preserves_other_keys() {
-        let doc = "{\n  \"sweep\": { \"a\": [1, 2, \"x}y\"] },\n  \"functional\": []\n}\n";
-        // Insert a new key.
-        let merged = upsert_key(doc, "model", "{ \"median_rel_err\": 0.1 }");
-        let parsed = gpsim::json::parse(&merged).expect("merged parses");
-        assert!(parsed.get("sweep").is_some());
-        assert!(parsed.get("functional").is_some());
-        assert_eq!(
-            parsed
-                .get("model")
-                .and_then(|m| m.get("median_rel_err"))
-                .and_then(|v| v.as_f64()),
-            Some(0.1)
-        );
-        // Replace it.
-        let merged2 = upsert_key(&merged, "model", "{ \"median_rel_err\": 0.2 }");
-        let parsed2 = gpsim::json::parse(&merged2).expect("re-merged parses");
-        assert_eq!(
-            parsed2
-                .get("model")
-                .and_then(|m| m.get("median_rel_err"))
-                .and_then(|v| v.as_f64()),
-            Some(0.2)
-        );
-        assert!(parsed2.get("sweep").is_some());
-        // Nested keys with the same name never match.
-        let doc3 = "{ \"outer\": { \"model\": 1 } }";
-        let merged3 = upsert_key(doc3, "model", "2");
-        let parsed3 = gpsim::json::parse(&merged3).expect("parses");
-        assert_eq!(
-            parsed3.get("outer").and_then(|o| o.get("model")).and_then(|v| v.as_f64()),
-            Some(1.0)
-        );
-        assert_eq!(parsed3.get("model").and_then(|v| v.as_f64()), Some(2.0));
-        // Garbage input is replaced wholesale.
-        let fresh = upsert_key("not json", "model", "3");
-        assert_eq!(
-            gpsim::json::parse(&fresh).unwrap().get("model").and_then(|v| v.as_f64()),
-            Some(3.0)
-        );
-    }
-
-    #[test]
-    fn upsert_is_idempotent_and_keeps_key_order() {
-        let doc = "{ \"zeta\": 1, \"alpha\": [true, null], \"mid\": \"x\" }";
-        let once = upsert_key(doc, "model", "{ \"e\": 0.5 }");
-        // Re-upserting the same value must not change a single byte.
-        let twice = upsert_key(&once, "model", "{ \"e\": 0.5 }");
-        assert_eq!(once, twice, "upsert is not idempotent");
-        // Existing keys keep their document order; the new key appends.
-        let order = |s: &str| -> Vec<String> {
-            match gpsim::json::parse(s).unwrap() {
-                gpsim::json::Json::Obj(fields) => fields.into_iter().map(|(k, _)| k).collect(),
-                _ => panic!("not an object"),
-            }
-        };
-        assert_eq!(order(&once), ["zeta", "alpha", "mid", "model"]);
-        // Replacing an interior key keeps it in place.
-        let replaced = upsert_key(&once, "alpha", "7");
-        assert_eq!(order(&replaced), ["zeta", "alpha", "mid", "model"]);
-        assert_eq!(
-            gpsim::json::parse(&replaced).unwrap().get("alpha").and_then(|v| v.as_f64()),
-            Some(7.0)
-        );
     }
 }

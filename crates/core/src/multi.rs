@@ -455,8 +455,9 @@ fn distribute(
     }
 }
 
-/// Sort iteration ranges and merge adjacent ones.
-fn sort_coalesce(mut ranges: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
+/// Sort iteration ranges and merge adjacent ones, so a re-run covers
+/// each contiguous stretch once.
+pub(crate) fn sort_coalesce(mut ranges: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
     ranges.sort_unstable();
     let mut out: Vec<(i64, i64)> = Vec::new();
     for (a, b) in ranges {

@@ -9,7 +9,7 @@ use crate::recovery::RecoveryStats;
 
 /// The three execution models compared throughout the paper's evaluation,
 /// plus [`Auto`](ExecModel::Auto), which lets the runtime pick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ExecModel {
     /// Synchronous copy-in → kernel → copy-out; whole arrays resident.
     Naive,

@@ -26,7 +26,7 @@ use crate::autotune::{autotune, TuneSpace};
 use crate::buffer::{compile_window_fn, BufferOptions};
 use crate::error::{RtError, RtResult};
 use crate::exec::{execute, run_plan, KernelBuilder, Region};
-use crate::multi::MultiOptions;
+use crate::multi::{sort_coalesce, MultiOptions};
 use crate::plan::WindowFn;
 use crate::recovery::{
     Degradation, DriverOutcome, RecoveryCtx, RecoveryStats, RetryPolicy, ToFromSnapshot,
@@ -268,7 +268,7 @@ pub(crate) fn run_ladder(
     for &(k0, k1) in &x.unfinished {
         snapshot.restore_window(gpu, region, k0, k1)?;
     }
-    for (k0, k1) in coalesce(&x.unfinished) {
+    for (k0, k1) in sort_coalesce(x.unfinished) {
         report.recovery.degradations.push(Degradation {
             from,
             to,
@@ -286,19 +286,6 @@ pub(crate) fn run_ladder(
         absorb(&mut report, &fb);
     }
     Ok(report)
-}
-
-/// Merge adjacent unfinished chunk ranges so the fallback runs once per
-/// contiguous stretch.
-fn coalesce(ranges: &[(i64, i64)]) -> Vec<(i64, i64)> {
-    let mut out: Vec<(i64, i64)> = Vec::new();
-    for &(a, b) in ranges {
-        match out.last_mut() {
-            Some(last) if last.1 == a => last.1 = b,
-            _ => out.push((a, b)),
-        }
-    }
-    out
 }
 
 /// Fold a fallback run's accounting into the primary (degraded) report:
@@ -323,10 +310,15 @@ fn absorb(primary: &mut RunReport, fb: &RunReport) {
 mod tests {
     use super::*;
 
+    /// The ladder hands its unfinished ranges to `sort_coalesce` so the
+    /// fallback runs once per contiguous stretch.
     #[test]
     fn coalesce_merges_adjacent() {
-        assert_eq!(coalesce(&[(0, 4), (4, 8), (12, 16)]), vec![(0, 8), (12, 16)]);
-        assert_eq!(coalesce(&[]), Vec::<(i64, i64)>::new());
-        assert_eq!(coalesce(&[(3, 5)]), vec![(3, 5)]);
+        assert_eq!(
+            sort_coalesce(vec![(0, 4), (4, 8), (12, 16)]),
+            vec![(0, 8), (12, 16)]
+        );
+        assert_eq!(sort_coalesce(vec![]), Vec::<(i64, i64)>::new());
+        assert_eq!(sort_coalesce(vec![(3, 5)]), vec![(3, 5)]);
     }
 }

@@ -54,9 +54,8 @@ where
     sweep_map_threads(sweep_threads(), n, f)
 }
 
-/// [`sweep_map`] with an explicit worker count (used by the perf harness
-/// to compare serial vs parallel on the same workload; `threads == 1`
-/// runs inline without spawning).
+/// [`sweep_map`] with an explicit worker count (`threads == 1` runs
+/// inline without spawning).
 pub fn sweep_map_threads<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,

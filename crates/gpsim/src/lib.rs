@@ -85,6 +85,5 @@ pub use sim::{Gpu, HealthProbe, LossCause};
 pub use stall::{attribute_stalls, render_attribution, EngineBreakdown, StallCause, StallReport};
 pub use time::SimTime;
 pub use trace::{
-    inflight_counter, render_gantt, to_chrome_trace, to_perfetto_trace, utilization, CounterTrack,
-    Utilization,
+    inflight_counter, render_gantt, to_perfetto_trace, utilization, CounterTrack, Utilization,
 };

@@ -137,33 +137,6 @@ fn device_tid(kind: TimelineKind) -> u32 {
     }
 }
 
-/// Export the timeline in Chrome trace-event format (load via
-/// `chrome://tracing` or <https://ui.perfetto.dev>). Engines appear as
-/// "threads"; streams are recorded as arguments. The document uses the
-/// object form (`{"displayTimeUnit": ..., "traceEvents": [...]}`) so
-/// viewers pick nanosecond display and the export stays extensible;
-/// Chrome-compatible loaders still accept the inner array.
-pub fn to_chrome_trace(timeline: &[TimelineEntry]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
-    for (i, t) in timeline.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"name\": \"{}\", \"cat\": \"{:?}\", \"ph\": \"X\", \
-             \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 0, \"tid\": {}, \
-             \"args\": {{\"stream\": {}}}}}",
-            escape(&t.label),
-            t.kind,
-            t.start_ns as f64 / 1e3, // Chrome wants microseconds
-            (t.end_ns - t.start_ns) as f64 / 1e3,
-            device_tid(t.kind),
-            t.stream
-        );
-        out.push_str(if i + 1 == timeline.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]}\n");
-    out
-}
-
 /// A named counter series for trace export (`ph:"C"` events): ring-slot
 /// occupancy, in-flight chunks, device-memory footprint, ...
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -387,8 +360,11 @@ mod tests {
         assert_eq!(u.engines_active, 0);
         assert_eq!(u.aggregate(), 0.0);
         assert_eq!(render_gantt(&[], 40), "(empty timeline)\n");
-        let doc = crate::json::parse(&to_chrome_trace(&[])).unwrap();
-        assert_eq!(doc.get("traceEvents").unwrap().as_arr().unwrap().len(), 0);
+        // An empty export carries only the process/thread metadata.
+        let doc = crate::json::parse(&to_perfetto_trace(&[], &[], &[], &[])).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        assert_eq!(events.len(), 7);
+        assert!(events.iter().all(|e| e.get("ph").unwrap().as_str() == Some("M")));
     }
 
     #[test]
@@ -420,8 +396,8 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_loadable_shape() {
-        let json = to_chrome_trace(&sample());
+    fn perfetto_trace_is_loadable_shape_and_escapes_labels() {
+        let json = to_perfetto_trace(&sample(), &[], &[], &[]);
         // Object form with nanosecond display, per the Perfetto docs.
         let doc = crate::json::parse(&json).unwrap();
         assert_eq!(doc.get("displayTimeUnit").unwrap().as_str(), Some("ns"));
@@ -430,14 +406,16 @@ mod tests {
         let start = json.find('[').unwrap();
         let end = json.rfind(']').unwrap();
         let arr = crate::json::parse(&json[start..=end]).unwrap();
-        let events = arr.as_arr().unwrap();
-        assert_eq!(events.len(), 4);
-        assert!(events
+        let spans = arr
+            .as_arr()
+            .unwrap()
             .iter()
-            .all(|e| e.get("ph").unwrap().as_str() == Some("X")));
+            .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .count();
+        assert_eq!(spans, 4);
         assert!(json.contains("\"tid\": 3")); // kernel row
         assert!(json.contains("\"stream\": 2"));
-        // Quotes in labels must be escaped.
+        // Quotes and backslashes in labels must be escaped.
         let tricky = vec![TimelineEntry {
             label: "a\"b\\c".into(),
             kind: TimelineKind::H2D,
@@ -447,11 +425,15 @@ mod tests {
             seq: 0,
             enqueue_ns: 0,
         }];
-        let json = to_chrome_trace(&tricky);
+        let json = to_perfetto_trace(&tricky, &[], &[], &[]);
         assert!(json.contains("a\\\"b\\\\c"));
         let doc = crate::json::parse(&json).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        assert_eq!(events[0].get("name").unwrap().as_str(), Some("a\"b\\c"));
+        let span = events
+            .iter()
+            .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .unwrap();
+        assert_eq!(span.get("name").unwrap().as_str(), Some("a\"b\\c"));
     }
 
     #[test]

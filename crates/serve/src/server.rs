@@ -192,9 +192,9 @@ struct JobState {
     pred_per_iter: u64,
     /// The exec model every slice of this job runs — the requested
     /// model, or a lower ladder rung fixed at admission if the job was
-    /// released into overload. Pinned per job: the naive rung cannot
-    /// resume a partially-run region, and a single rung keeps the
-    /// uninterrupted verification reference meaningful.
+    /// released into overload. Pinned per job, so every slice runs the
+    /// rung whose cost table admission filled and whose per-iteration
+    /// estimate `pred_per_iter` holds.
     model: ExecModel,
     /// Touched by a device loss, hang escalation or injected fault.
     hit_failure: bool,
@@ -220,15 +220,6 @@ fn degrade(model: ExecModel, level: usize) -> ExecModel {
         };
     }
     m
-}
-
-fn model_idx(model: ExecModel) -> u8 {
-    match model {
-        ExecModel::Naive => 0,
-        ExecModel::Pipelined => 1,
-        ExecModel::PipelinedBuffer => 2,
-        ExecModel::Auto => 3,
-    }
 }
 
 /// Whether a slice failure is survivable by requeue + re-placement
@@ -371,7 +362,7 @@ pub fn serve(
     // (ShapeSig, model) → per-device per-iteration ns. Admission fills
     // it with a throwaway host-only bind on a cache miss; placement
     // and quantum sizing reuse it for free thereafter.
-    let mut cost_cache: BTreeMap<(ShapeSig, u8), Vec<u64>> = BTreeMap::new();
+    let mut cost_cache: BTreeMap<(ShapeSig, ExecModel), Vec<u64>> = BTreeMap::new();
     // Predicted device-ns of admitted-but-unfinished work; drain time
     // is `pending_ns / alive devices`.
     let mut pending_ns: u64 = 0;
@@ -462,7 +453,7 @@ pub fn serve(
             // unfilled because costs never depend on data).
             let mut pred_per_iter = 0u64;
             if verdict.is_none() {
-                let key = (spec.shape.sig(), model_idx(model));
+                let key = (spec.shape.sig(), model);
                 if let std::collections::btree_map::Entry::Vacant(slot) = cost_cache.entry(key) {
                     slot.insert(probe_table(
                         &mut fleet.gpus[frontier],
@@ -565,7 +556,7 @@ pub fn serve(
         // rotation whose breaker admits.
         let a = active[entry.job].as_mut().expect("just materialized");
         let remaining = a.run.remaining().max(1) as u64;
-        let table = &cost_cache[&(spec.shape.sig(), model_idx(model))];
+        let table = &cost_cache[&(spec.shape.sig(), model)];
         let placement = (0..ndev)
             .filter(|&d| alive[d])
             .filter(|&d| {
@@ -619,13 +610,12 @@ pub fn serve(
             iters,
         );
         let slice_end = rel(&fleet.gpus, best_d);
-        let slice = match outcome {
+        match outcome {
             Ok(s) => {
                 debug_assert!(s.is_some(), "run_slice on an unfinished job");
                 if !breakers.is_empty() {
                     breakers[best_d].record(slice_end, true);
                 }
-                s
             }
             Err(e) => {
                 // The slice is rolled back (cursor intact, ToFrom
@@ -646,8 +636,7 @@ pub fn serve(
                 sched.requeue(tenant, entry);
                 continue;
             }
-        };
-        let _ = slice;
+        }
         let service = fleet.gpus[best_d].now().saturating_sub(started);
         sched.charge(tenant, service);
         stats[tenant].service += service;
@@ -745,7 +734,7 @@ pub fn serve(
 /// that decides the reference's output bits.
 #[derive(Default)]
 struct References {
-    outputs: HashMap<(DataKey, u8, (usize, usize)), Vec<f32>>,
+    outputs: HashMap<(DataKey, ExecModel, (usize, usize)), Vec<f32>>,
     /// Uninterrupted reference runs executed (cache misses plus salted
     /// jobs).
     runs: u64,
@@ -773,7 +762,7 @@ fn verify_clean(
         refs.runs += 1;
         return Ok(same_bits(&got, &reference_run(spec, model, run_opts)?));
     }
-    let key = (data, model_idx(model), spec.shape.schedule());
+    let key = (data, model, spec.shape.schedule());
     let want = match refs.outputs.entry(key) {
         Entry::Occupied(e) => e.into_mut(),
         Entry::Vacant(slot) => {

@@ -1,14 +1,14 @@
 //! Visualize what pipelining does: run the stencil naively and with the
 //! pipelined ring buffer, and render both device timelines as ASCII
 //! Gantt charts (the simulator's equivalent of the NVIDIA Visual
-//! Profiler views the paper used). Also writes Chrome-trace JSON files
-//! loadable in `chrome://tracing` / Perfetto.
+//! Profiler views the paper used). Also writes trace JSON files
+//! loadable in Perfetto / `chrome://tracing`.
 //!
 //! ```text
 //! cargo run --release --example timeline_trace
 //! ```
 
-use gpsim::{render_gantt, to_chrome_trace, utilization, DeviceProfile, ExecMode, Gpu};
+use gpsim::{render_gantt, to_perfetto_trace, utilization, DeviceProfile, ExecMode, Gpu};
 use pipeline_apps::StencilConfig;
 use dbpp::prelude::*;
 
@@ -51,7 +51,7 @@ fn main() {
     let out = std::env::temp_dir();
     for (name, tl) in [("naive", &naive_tl), ("buffered", &buffered_tl)] {
         let path = out.join(format!("dbpp_trace_{name}.json"));
-        std::fs::write(&path, to_chrome_trace(tl)).unwrap();
+        std::fs::write(&path, to_perfetto_trace(tl, &[], &[], &[])).unwrap();
         println!("wrote {} ({} events)", path.display(), tl.len());
     }
 }
