@@ -172,13 +172,8 @@ pub fn autotuned_schedule() -> Vec<AblationRow> {
     let builder = cfg.builder();
     let dflt = run_model(&mut gpu, &inst.region, &builder, ExecModel::PipelinedBuffer, &RunOptions::default())
         .expect("default");
-    let (_tuned, best) = pipeline_rt::run_autotuned(
-        &mut gpu,
-        &inst.region,
-        &builder,
-        &pipeline_rt::TuneSpace::default(),
-    )
-    .expect("autotune");
+    let best = run_model(&mut gpu, &inst.region, &builder, ExecModel::Auto, &RunOptions::default())
+        .expect("autotune");
     vec![AblationRow {
         name: "autotuned-schedule",
         metric: "time (s)",

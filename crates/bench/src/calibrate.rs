@@ -415,9 +415,8 @@ fn fleet_cell(small: bool) -> FleetCell {
     let builder = cfg.builder();
     let plane = cfg.plane() as u64;
 
-    let mut shares = |opts: MultiOptions| -> Vec<i64> {
-        let opts = RunOptions::default().with_multi(opts);
-        let rep = run_model_multi(&mut gpus, &inst.region, &builder, &opts).expect("fleet run");
+    let mut shares = |multi: MultiOptions| -> Vec<i64> {
+        let rep = run_model_multi(&mut gpus, &inst.region, &builder, &multi).expect("fleet run");
         rep.partitions.iter().map(|(lo, hi)| hi - lo).collect()
     };
     let heuristic = shares(MultiOptions::default().with_probe_cost(21 * plane, 12 * plane));

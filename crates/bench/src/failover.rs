@@ -22,7 +22,7 @@
 
 use gpsim::{DeviceProfile, ExecMode, FaultPlan, Gpu, HostPool, SimTime};
 use pipeline_apps::{Conv3dConfig, Conv3dInstance};
-use pipeline_rt::{run_model_multi, MultiOptions, MultiReport, RunOptions};
+use pipeline_rt::{run_model_multi, MultiOptions, MultiReport};
 
 /// One loss cell: the K40m dies after a fraction of its fault-free
 /// command stream.
@@ -135,13 +135,11 @@ fn instance(cfg: &Conv3dConfig) -> (Vec<Gpu>, Conv3dInstance) {
     (gpus, inst)
 }
 
-fn supervise(cfg: &Conv3dConfig, straggler_factor: f64) -> RunOptions {
+fn supervise(cfg: &Conv3dConfig, straggler_factor: f64) -> MultiOptions {
     let plane = cfg.plane() as u64;
-    RunOptions::default().with_multi(
-        MultiOptions::default()
-            .with_probe_cost(plane * 54, plane * 8)
-            .with_straggler(straggler_factor, 0.5),
-    )
+    MultiOptions::default()
+        .with_probe_cost(plane * 54, plane * 8)
+        .with_straggler(straggler_factor)
 }
 
 fn check_identical(gpus: &[Gpu], inst: &Conv3dInstance, cfg: &Conv3dConfig, expect: &[f32], cell: &str) {
@@ -165,7 +163,8 @@ fn run_cell(
     let (mut gpus, inst) = instance(cfg);
     gpus[0].set_fault_plan(plan);
     let builder = cfg.builder();
-    let multi = run_model_multi(&mut gpus, &inst.region, &builder, &supervise(cfg, straggler_factor))
+    let mo = supervise(cfg, straggler_factor);
+    let multi = run_model_multi(&mut gpus, &inst.region, &builder, &mo)
         .unwrap_or_else(|e| panic!("{cell}: failover run failed: {e}"));
     check_identical(&gpus, &inst, cfg, expect, cell);
     multi
@@ -179,7 +178,8 @@ pub fn run(smoke: bool) -> FailoverSweep {
     // K40m command count that anchors the loss triggers.
     let (mut gpus, inst) = instance(&cfg);
     let builder = cfg.builder();
-    let clean = run_model_multi(&mut gpus, &inst.region, &builder, &supervise(&cfg, f64::INFINITY))
+    let mo = supervise(&cfg, f64::INFINITY);
+    let clean = run_model_multi(&mut gpus, &inst.region, &builder, &mo)
         .expect("fault-free run");
     assert!(clean.recovery.is_clean(), "fault-free run recorded recovery");
     let mut expect = vec![0.0f32; cfg.total()];

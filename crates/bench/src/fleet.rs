@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use gpsim::{DeviceProfile, ExecMode, Gpu, HostPool, SimTime};
 use pipeline_apps::Conv3dConfig;
-use pipeline_rt::{run_model_multi, MultiOptions, RunOptions};
+use pipeline_rt::{run_model_multi, MultiOptions};
 
 /// Committed throughput floor (DES commands per second per host core)
 /// for the 64-device smoke tier. Deliberately conservative — about half
@@ -116,11 +116,10 @@ pub fn run_tier(devices: usize) -> FleetTier {
     let inst = cfg.setup(&mut gpus[0]).expect("conv3d setup");
     let builder = cfg.builder();
     let plane = cfg.plane() as u64;
-    let opts = RunOptions::default()
-        .with_multi(MultiOptions::default().with_probe_cost(plane * 54, plane * 8));
+    let mo = MultiOptions::default().with_probe_cost(plane * 54, plane * 8);
 
     let t = Instant::now();
-    let multi = run_model_multi(&mut gpus, &inst.region, &builder, &opts)
+    let multi = run_model_multi(&mut gpus, &inst.region, &builder, &mo)
         .expect("fleet co-schedule");
     let wall = t.elapsed().as_secs_f64();
 

@@ -22,7 +22,7 @@ use gpsim::{Gpu, HostBufId, HostPool, SimTime};
 use crate::costmodel::ModelTuner;
 use crate::error::{RtError, RtResult};
 use crate::exec::{run_fresh, KernelBuilder, Region};
-use crate::report::{ExecModel, RunReport};
+use crate::report::ExecModel;
 use crate::spec::Schedule;
 
 /// The candidate grid explored by [`autotune`].
@@ -32,27 +32,6 @@ pub struct TuneSpace {
     pub chunks: Vec<usize>,
     /// Candidate stream counts.
     pub streams: Vec<usize>,
-}
-
-impl TuneSpace {
-    /// Defaults, identical to [`Default`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the candidate chunk sizes (consuming builder).
-    #[must_use]
-    pub fn with_chunks(mut self, chunks: Vec<usize>) -> Self {
-        self.chunks = chunks;
-        self
-    }
-
-    /// Set the candidate stream counts (consuming builder).
-    #[must_use]
-    pub fn with_streams(mut self, streams: Vec<usize>) -> Self {
-        self.streams = streams;
-        self
-    }
 }
 
 impl Default for TuneSpace {
@@ -242,25 +221,10 @@ fn autotune_exhaustive(
     })
 }
 
-/// Tune (model strategy — zero simulated sweep runs), then run the
-/// region with the winning schedule on the caller's context. Returns
-/// the tuning result alongside the real run's report.
-pub fn run_autotuned(
-    gpu: &mut Gpu,
-    region: &Region,
-    builder: &KernelBuilder<'_>,
-    space: &TuneSpace,
-) -> RtResult<(TuneResult, RunReport)> {
-    let tuned = autotune(gpu, region, builder, space)?;
-    let mut best_region = region.clone();
-    best_region.spec.schedule = tuned.best;
-    let report = run_fresh(gpu, &best_region, builder, ExecModel::PipelinedBuffer)?;
-    Ok((tuned, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{run_model, RunOptions};
     use crate::spec::{Affine, MapDir, MapSpec, RegionSpec, SplitSpec};
     use gpsim::{DeviceProfile, ExecMode, KernelCost, KernelLaunch};
 
@@ -322,11 +286,29 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        // `ExecModel::Auto` is exactly this tuning followed by a buffered
+        // run at the winner.
+        let auto = run_model(
+            &mut gpu,
+            &region,
+            &builder,
+            ExecModel::Auto,
+            &RunOptions::default(),
+        )
+        .unwrap();
+        let mut best = region.clone();
+        best.spec.schedule = tuned.best;
+        let best = run_fresh(&mut gpu, &best, &builder, ExecModel::PipelinedBuffer).unwrap();
+        assert_eq!(auto.model, ExecModel::PipelinedBuffer);
+        assert_eq!(
+            (auto.total, auto.commands, auto.gpu_mem_bytes),
+            (best.total, best.commands, best.gpu_mem_bytes)
+        );
+        assert_eq!((auto.chunks, auto.streams), (best.chunks, best.streams));
         // And the tuned run must beat the paper's default static[1,3].
         let mut dflt = region.clone();
         dflt.spec.schedule = Schedule::static_(1, 3);
         let worst = run_fresh(&mut gpu, &dflt, &builder, ExecModel::PipelinedBuffer).unwrap();
-        let (_, best) = run_autotuned(&mut gpu, &region, &builder, &TuneSpace::default()).unwrap();
         assert!(
             best.total.as_secs_f64() < 0.7 * worst.total.as_secs_f64(),
             "tuned {} vs default {}",

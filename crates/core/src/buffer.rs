@@ -162,31 +162,6 @@ pub struct BufferOptions {
     pub assignment: StreamAssignment,
 }
 
-impl BufferOptions {
-    /// Defaults, identical to [`Default`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enable or disable residency tracking (consuming builder).
-    pub fn with_track_residency(mut self, on: bool) -> Self {
-        self.track_residency = on;
-        self
-    }
-
-    /// Enable or disable minimal ring slots (consuming builder).
-    pub fn with_minimal_slots(mut self, on: bool) -> Self {
-        self.minimal_slots = on;
-        self
-    }
-
-    /// Set the chunk-to-stream policy (consuming builder).
-    pub fn with_assignment(mut self, assignment: StreamAssignment) -> Self {
-        self.assignment = assignment;
-        self
-    }
-}
-
 impl Default for BufferOptions {
     fn default() -> Self {
         BufferOptions {

@@ -25,8 +25,8 @@ pub enum RtError {
     /// An underlying device/simulator failure.
     Sim(SimError),
     /// A device command failed inside a specific chunk and the retry
-    /// policy classified it as fatal (non-retryable stage, or a genuine
-    /// simulator error rather than an injected fault).
+    /// policy classified it as fatal (a genuine simulator error rather
+    /// than an injected fault).
     Device {
         /// Execution model that was running.
         model: ExecModel,

@@ -20,16 +20,17 @@
 //!   the clauses (the `pipeline-directive` crate parses the textual
 //!   syntax into these types).
 //! * [`Region`] binds a spec to host arrays and a loop range.
-//! * One front door, [`run_model`] (or the [`Pipeline`] builder),
-//!   executes a bound region under any [`ExecModel`], mirroring the
-//!   paper's evaluation matrix:
+//! * One front door, [`run_model`], executes a bound region under any
+//!   [`ExecModel`], mirroring the paper's evaluation matrix:
 //!   [`ExecModel::Naive`] (synchronous offload),
 //!   [`ExecModel::Pipelined`] (hand-style chunked overlap with full-size
 //!   device arrays) and [`ExecModel::PipelinedBuffer`] (the
 //!   contribution: overlap **plus** a small mod-indexed device ring
 //!   buffer); [`ExecModel::Auto`] autotunes the schedule first.
 //!   [`RunOptions`] carries the [`RetryPolicy`] and degradation-ladder
-//!   switches for fault-tolerant runs.
+//!   switches for fault-tolerant runs. [`run_window_fn`] (function-based
+//!   windows) and [`run_model_multi`] (co-scheduling across devices,
+//!   supervised by [`MultiOptions`]) cover the §VII extensions.
 //! * [`RunReport`] captures time, phase breakdown, and device memory —
 //!   the quantities plotted in the paper's Figures 3–10.
 //!
@@ -91,7 +92,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod api;
 mod autotune;
 mod buffer;
 mod calibrate;
@@ -110,11 +110,10 @@ pub mod sweep;
 mod trace;
 mod view;
 
-pub use api::{ModelReports, Pipeline};
 pub use calibrate::{
     calibrate_from_trace, calibrate_with_fit, fit_profile, CalibrationReport, DirFit, ProfileFit,
 };
-pub use autotune::{autotune, autotune_with, run_autotuned, Trial, TuneResult, TuneSpace, TuneStrategy};
+pub use autotune::{autotune, autotune_with, Trial, TuneResult, TuneSpace, TuneStrategy};
 pub use buffer::{compile_plan, BufferOptions, StreamAssignment};
 pub use costmodel::{
     run_model_online, Bottleneck, Calibration, CostModel, ModelTuner, OnlineReport, OnlineStep,

@@ -35,12 +35,18 @@ use gpsim::{
 use crate::costmodel::{Calibration, CostModel};
 use crate::error::{RtError, RtResult};
 use crate::exec::{KernelBuilder, Region};
+use crate::plan::resolve_plan;
 use crate::recovery::ToFromSnapshot;
 use crate::report::{ExecModel, RunReport};
 use crate::run::{run_ladder, RunOptions};
 use crate::spec::{MapDir, RegionSpec, Schedule};
 
-/// Supervision knobs of the multi-device co-scheduler.
+/// Bounded shed: at most this fraction of a straggler's remaining
+/// iterations migrates off it (at most once per device).
+const STRAGGLER_MAX_FRAC: f64 = 0.5;
+
+/// Supervision knobs of the multi-device co-scheduler, passed to
+/// [`run_model_multi`].
 #[derive(Debug, Clone)]
 pub struct MultiOptions {
     /// Kernel cost of one representative iteration (flops, bytes) for
@@ -56,11 +62,9 @@ pub struct MultiOptions {
     pub slice_chunks: usize,
     /// Straggler threshold: a device whose observed per-chunk stage
     /// latency exceeds `straggler_factor ×` the cost-model estimate is
-    /// flagged and sheds part of its remaining work.
+    /// flagged and sheds up to half of its remaining iterations (at
+    /// most once per device).
     pub straggler_factor: f64,
-    /// Bounded shed: at most this fraction of a straggler's remaining
-    /// iterations migrates off it (at most once per device).
-    pub straggler_max_frac: f64,
     /// Cost-model-driven partitioning: when `Some`, per-device weights
     /// come from a full [`CostModel`] pipeline prediction of the region
     /// (overlap, API overhead, duplex and all) instead of the
@@ -81,19 +85,12 @@ impl Default for MultiOptions {
             watchdog: SimTime::from_ms(1),
             slice_chunks: 4,
             straggler_factor: 4.0,
-            straggler_max_frac: 0.5,
             model_partition: None,
         }
     }
 }
 
 impl MultiOptions {
-    /// Defaults, identical to [`Default`] — the symmetric starting point
-    /// for the consuming `with_*` builders below.
-    pub fn new() -> MultiOptions {
-        MultiOptions::default()
-    }
-
     /// Set the representative kernel cost (flops, bytes) per iteration.
     #[must_use]
     pub fn with_probe_cost(mut self, flops: u64, bytes: u64) -> MultiOptions {
@@ -115,11 +112,10 @@ impl MultiOptions {
         self
     }
 
-    /// Set the straggler threshold factor and maximum shed fraction.
+    /// Set the straggler threshold factor.
     #[must_use]
-    pub fn with_straggler(mut self, factor: f64, max_frac: f64) -> MultiOptions {
+    pub fn with_straggler(mut self, factor: f64) -> MultiOptions {
         self.straggler_factor = factor;
-        self.straggler_max_frac = max_frac;
         self
     }
 
@@ -292,31 +288,41 @@ fn per_iter_cost(p: &DeviceProfile, region: &Region, kernel_flops: u64, kernel_b
 
 /// Per-iteration cost of the whole region on each device, from a full
 /// [`CostModel`] pipeline prediction (the [`MultiOptions::model_partition`]
-/// strategy). Contexts are `!Send`, so predictions run serially — they
+/// strategy) of the schedule that device resolves. The schedule comes
+/// from the device's own profile, as the run itself resolves it (an adaptive
+/// region sizes its chunks to each device's bandwidth ramp), over one
+/// slice of `slice_len` iterations on a supervised device and over the
+/// whole region otherwise; an override profile only drives the
+/// prediction. Contexts are `!Send`, so predictions run serially — they
 /// are analytic walks, not simulations, and cost microseconds each.
 fn model_costs(
     gpus: &[Gpu],
     region: &Region,
     builder: &KernelBuilder<'_>,
     overrides: &[Option<(DeviceProfile, Calibration)>],
+    supervised: &[bool],
+    slice_len: i64,
 ) -> RtResult<Vec<f64>> {
     let iters = (region.hi - region.lo).max(1) as f64;
-    let (chunk, streams) = match region.spec.schedule {
-        Schedule::Static {
-            chunk_size,
-            num_streams,
-        } => (chunk_size.max(1), num_streams.max(1)),
-        Schedule::Adaptive => (8, 2),
-    };
     gpus.iter()
         .enumerate()
         .map(|(i, g)| {
             let mut cm = CostModel::new(g, region, builder)?;
-            if let Some((profile, calib)) = overrides.get(i).and_then(|o| o.as_ref()) {
-                cm.set_profile(profile.clone());
+            if let Some((p, calib)) = overrides.get(i).and_then(|o| o.as_ref()) {
+                cm.set_profile(p.clone());
                 cm.calibration = *calib;
             }
-            let p = cm.predict(ExecModel::PipelinedBuffer, chunk, streams)?;
+            let hi = if supervised[i] {
+                (region.lo + slice_len).min(region.hi)
+            } else {
+                region.hi
+            };
+            let plan = resolve_plan(&region.spec, g.profile(), region.lo, hi)?;
+            let p = cm.predict(
+                ExecModel::PipelinedBuffer,
+                plan.chunk_size,
+                plan.num_streams,
+            )?;
             Ok(p.total.as_secs_f64().max(1e-12) / iters)
         })
         .collect()
@@ -470,7 +476,9 @@ pub(crate) fn sort_coalesce(mut ranges: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
 }
 
 /// Run a region co-scheduled across several devices with the
-/// Pipelined-buffer model, under failover supervision.
+/// Pipelined-buffer model, under failover supervision. Every slice runs
+/// with [`RunOptions::default()`]; `mo` sets the partitioning and
+/// supervision.
 ///
 /// Requirements:
 /// * every context shares one host pool (the region's arrays must be
@@ -490,10 +498,9 @@ pub fn run_model_multi(
     gpus: &mut [Gpu],
     region: &Region,
     builder: &KernelBuilder<'_>,
-    opts: &RunOptions,
+    mo: &MultiOptions,
 ) -> RtResult<MultiReport> {
     validate_multi(gpus, region)?;
-    let mo = &opts.multi;
     let n = gpus.len();
 
     let mut alive: Vec<bool> = gpus.iter().map(|g| g.device_lost().is_none()).collect();
@@ -502,12 +509,17 @@ pub fn run_model_multi(
         return Err(RtError::Sim(SimError::DeviceLost));
     }
     let supervised: Vec<bool> = gpus.iter().map(|g| g.fault_plan().is_some()).collect();
+    let chunk = match region.spec.schedule {
+        Schedule::Static { chunk_size, .. } => chunk_size.max(1),
+        Schedule::Adaptive => 8,
+    } as i64;
+    let slice_len = (chunk * mo.slice_chunks.max(1) as i64).max(1);
 
     // Per-device cost weights: either full cost-model predictions
     // (serial; contexts are !Send) or the engine-bound heuristic probed
     // on the sweep pool (profiles are Send).
     let costs: Vec<f64> = if let Some(overrides) = &mo.model_partition {
-        model_costs(gpus, region, builder, overrides)?
+        model_costs(gpus, region, builder, overrides, &supervised, slice_len)?
     } else {
         let profiles: Vec<DeviceProfile> = gpus.iter().map(|g| g.profile().clone()).collect();
         crate::sweep::sweep_map(profiles.len(), |i| {
@@ -522,12 +534,6 @@ pub fn run_model_multi(
     for (k, &i) in live_idx.iter().enumerate() {
         partitions[i] = live_parts[k];
     }
-
-    let chunk = match region.spec.schedule {
-        Schedule::Static { chunk_size, .. } => chunk_size.max(1),
-        Schedule::Adaptive => 8,
-    } as i64;
-    let slice_len = (chunk * mo.slice_chunks.max(1) as i64).max(1);
 
     // ToFrom windows of a slice that dies mid-flight may hold partial
     // drains; snapshot them once so failover can restore before a
@@ -610,7 +616,8 @@ pub fn run_model_multi(
 
         gpu.set_hang_watchdog(Some(mo.watchdog));
         let sub = Region::new(region.spec.clone(), task.lo, task.hi, region.arrays.clone());
-        let res = run_ladder(gpu, &sub, builder, ExecModel::PipelinedBuffer, opts, false);
+        let opts = RunOptions::default();
+        let res = run_ladder(gpu, &sub, builder, ExecModel::PipelinedBuffer, &opts, false);
 
         // The driver reset the context's records at slice start; re-add
         // the supervisor's own spans, then stitch everything into the
@@ -655,7 +662,7 @@ pub fn run_model_multi(
                         let remaining: i64 =
                             devs[d].pending.iter().map(|t| t.hi - t.lo).sum();
                         let mut want =
-                            ((remaining as f64) * mo.straggler_max_frac).floor() as i64;
+                            ((remaining as f64) * STRAGGLER_MAX_FRAC).floor() as i64;
                         let mut moved = Vec::new();
                         while want > 0 {
                             let Some(mut back) = devs[d].pending.pop_back() else {
@@ -908,7 +915,6 @@ mod tests {
         let mo = MultiOptions::default();
         assert!(mo.slice_chunks >= 1);
         assert!(mo.straggler_factor > 1.0);
-        assert!(mo.straggler_max_frac > 0.0 && mo.straggler_max_frac <= 1.0);
         assert!(MultiRecovery::default().is_clean());
     }
 }

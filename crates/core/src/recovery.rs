@@ -43,10 +43,6 @@ pub struct RetryPolicy {
     pub backoff_base: SimTime,
     /// Multiplier applied per subsequent attempt (exponential backoff).
     pub backoff_factor: f64,
-    /// Which stages are retryable, indexed by [`FaultStage::index`].
-    /// Defaults to all four; a stage marked non-retryable turns its
-    /// failures into [`RtError::Device`] immediately.
-    pub stages: [bool; 4],
 }
 
 impl RetryPolicy {
@@ -56,7 +52,6 @@ impl RetryPolicy {
             max_attempts: 0,
             backoff_base: SimTime::from_us(50),
             backoff_factor: 2.0,
-            stages: [true; 4],
         }
     }
 
@@ -78,26 +73,17 @@ impl RetryPolicy {
         self
     }
 
-    /// Mark one stage retryable or fatal (consuming builder).
-    #[must_use]
-    pub fn with_stage(mut self, stage: FaultStage, retryable: bool) -> RetryPolicy {
-        self.stages[stage.index()] = retryable;
-        self
-    }
-
     /// True when recovery is active.
     pub fn enabled(&self) -> bool {
         self.max_attempts > 0
     }
 
-    /// Classify one failure: only *injected* faults on a stage the policy
-    /// covers are transient. Genuine simulator errors (OOM, races,
-    /// deadlocks) are never retryable — repeating the work cannot fix
-    /// them.
-    pub fn retryable(&self, stage: FaultStage, error: &SimError) -> bool {
-        self.enabled()
-            && self.stages[stage.index()]
-            && matches!(error, SimError::Injected { .. })
+    /// Classify one failure: with recovery enabled, *injected* faults
+    /// are transient on every stage. Genuine simulator errors (OOM,
+    /// races, deadlocks) are never retryable — repeating the work cannot
+    /// fix them.
+    pub fn retryable(&self, error: &SimError) -> bool {
+        self.enabled() && matches!(error, SimError::Injected { .. })
     }
 
     /// Backoff before the `attempt`-th retry (1-based).
@@ -376,7 +362,7 @@ pub(crate) fn drain_with_recovery(
                             // teardown work) — not recoverable here.
                             return Err(f.error.into());
                         };
-                        if !ctx.policy.retryable(stage, &f.error) {
+                        if !ctx.policy.retryable(&f.error) {
                             return Err(RtError::Device {
                                 model: cp.model,
                                 chunk: c,
@@ -486,18 +472,19 @@ mod tests {
 
     #[test]
     fn policy_classification() {
-        let p = RetryPolicy::retries(2).with_stage(FaultStage::Kernel, false);
-        let inj = SimError::Injected {
-            stage: FaultStage::H2d,
-            occurrence: 0,
-        };
-        assert!(p.retryable(FaultStage::H2d, &inj));
-        assert!(!p.retryable(FaultStage::Kernel, &inj), "stage disabled");
+        let p = RetryPolicy::retries(2);
+        for stage in FaultStage::ALL {
+            let inj = SimError::Injected {
+                stage,
+                occurrence: 0,
+            };
+            assert!(p.retryable(&inj), "{stage} faults are transient");
+            assert!(!RetryPolicy::disabled().retryable(&inj));
+        }
         assert!(
-            !p.retryable(FaultStage::H2d, &SimError::Deadlock("x".into())),
+            !p.retryable(&SimError::Deadlock("x".into())),
             "genuine errors are fatal"
         );
-        assert!(!RetryPolicy::disabled().retryable(FaultStage::H2d, &inj));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::autotune::{autotune, TuneSpace};
 use crate::buffer::{compile_window_fn, BufferOptions};
 use crate::error::{RtError, RtResult};
 use crate::exec::{execute, run_plan, KernelBuilder, Region};
-use crate::multi::{sort_coalesce, MultiOptions};
+use crate::multi::sort_coalesce;
 use crate::plan::WindowFn;
 use crate::recovery::{
     Degradation, DriverOutcome, RecoveryCtx, RecoveryStats, RetryPolicy, ToFromSnapshot,
@@ -47,26 +47,15 @@ pub struct RunOptions {
     pub degrade: bool,
     /// Ablation switches of the Pipelined-buffer model.
     pub buffer: BufferOptions,
-    /// Candidate grid for [`ExecModel::Auto`].
-    pub tune: TuneSpace,
     /// A pre-compiled plan to replay instead of planning from scratch
     /// (the host-runtime fast path). The driver verifies the plan still
     /// matches the region/device before reusing it — a stale plan falls
     /// back to a fresh compile, never to wrong execution. `Arc` so one
     /// compile can be shared across sweep trials and iterations.
     pub compiled: Option<std::sync::Arc<crate::plan::CompiledPlan>>,
-    /// Supervision knobs of the multi-device co-scheduler
-    /// ([`run_model_multi`](crate::run_model_multi)); ignored by the
-    /// single-device entry points.
-    pub multi: MultiOptions,
 }
 
 impl RunOptions {
-    /// The default options (recovery off).
-    pub fn new() -> RunOptions {
-        RunOptions::default()
-    }
-
     /// Set the retry policy.
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> RunOptions {
@@ -88,13 +77,6 @@ impl RunOptions {
         self
     }
 
-    /// Set the autotuning grid used by [`ExecModel::Auto`].
-    #[must_use]
-    pub fn with_tune(mut self, tune: TuneSpace) -> RunOptions {
-        self.tune = tune;
-        self
-    }
-
     /// Replay a pre-compiled plan (see
     /// [`compile_plan`](crate::compile_plan)) instead of planning anew.
     #[must_use]
@@ -102,20 +84,13 @@ impl RunOptions {
         self.compiled = Some(plan);
         self
     }
-
-    /// Set the multi-device co-scheduling options.
-    #[must_use]
-    pub fn with_multi(mut self, multi: MultiOptions) -> RunOptions {
-        self.multi = multi;
-        self
-    }
 }
 
-/// Run a region under the given execution model — the single entry point
-/// behind [`Pipeline::run`](crate::Pipeline::run).
+/// Run a region under the given execution model.
 ///
-/// [`ExecModel::Auto`] tunes a schedule on a timing-mode twin first (see
-/// [`crate::autotune`]) and then runs the buffered model with the winner.
+/// [`ExecModel::Auto`] first ranks every cell of the default
+/// [`TuneSpace`] with the cost model (see [`crate::autotune`]) and then
+/// runs the buffered model with the winner.
 pub fn run_model(
     gpu: &mut Gpu,
     region: &Region,
@@ -125,7 +100,7 @@ pub fn run_model(
 ) -> RtResult<RunReport> {
     match model {
         ExecModel::Auto => {
-            let tuned = autotune(gpu, region, builder, &opts.tune)?;
+            let tuned = autotune(gpu, region, builder, &TuneSpace::default())?;
             let mut best = region.clone();
             best.spec.schedule = tuned.best;
             run_ladder(gpu, &best, builder, ExecModel::PipelinedBuffer, opts, false)
@@ -194,7 +169,7 @@ fn retrying(
         };
         let stage = match &e {
             RtError::Sim(s @ SimError::Injected { stage, .. })
-                if opts.retry.retryable(*stage, s) && whole_attempts < opts.retry.max_attempts =>
+                if opts.retry.retryable(s) && whole_attempts < opts.retry.max_attempts =>
             {
                 *stage
             }
@@ -283,27 +258,11 @@ pub(crate) fn run_ladder(
             to,
             reason: format!("{reason}; fallback failed: {e}"),
         })?;
-        absorb(&mut report, &fb);
+        // The fallback ran after the primary: its chunks, histograms and
+        // counter samples join the degraded report like a later slice.
+        report.merge_slice(&fb);
     }
     Ok(report)
-}
-
-/// Fold a fallback run's accounting into the primary (degraded) report:
-/// the fallback ran sequentially after the primary, so times and byte
-/// counts add.
-fn absorb(primary: &mut RunReport, fb: &RunReport) {
-    primary.total += fb.total;
-    primary.h2d += fb.h2d;
-    primary.d2h += fb.d2h;
-    primary.kernel += fb.kernel;
-    primary.host_api += fb.host_api;
-    primary.h2d_bytes += fb.h2d_bytes;
-    primary.d2h_bytes += fb.d2h_bytes;
-    primary.gpu_mem_bytes = primary.gpu_mem_bytes.max(fb.gpu_mem_bytes);
-    primary.array_bytes = primary.array_bytes.max(fb.array_bytes);
-    primary.commands += fb.commands;
-    primary.spikes += fb.spikes;
-    primary.recovery.merge(&fb.recovery);
 }
 
 #[cfg(test)]

@@ -273,13 +273,6 @@ impl RegionSpec {
         self
     }
 
-    /// Set the memory limit in bytes (builder style).
-    #[must_use]
-    pub fn with_mem_limit(mut self, bytes: u64) -> RegionSpec {
-        self.mem_limit = Some(bytes);
-        self
-    }
-
     /// Set the ring-index overhead fraction (builder style).
     #[must_use]
     pub fn with_index_overhead(mut self, frac: f64) -> RegionSpec {

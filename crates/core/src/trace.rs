@@ -289,13 +289,6 @@ impl ImportedTrace {
         (clean, contended)
     }
 
-    /// The clean half of [`copy_samples_split`](Self::copy_samples_split):
-    /// copies whose dispatch found the opposite copy engine idle, i.e.
-    /// the ones running at nominal (un-duplexed) bandwidth.
-    pub fn copy_samples_clean(&self, kind: TimelineKind) -> Vec<CopySample> {
-        self.copy_samples_split(kind).0
-    }
-
     /// Recompute the run's derived observability purely from the
     /// imported records — the same attribution, utilization, and
     /// histograms the live run computed.

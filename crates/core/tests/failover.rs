@@ -8,7 +8,7 @@ use gpsim::{
 };
 use pipeline_rt::{
     run_model, run_model_multi, Affine, ChunkCtx, ExecModel, MapDir, MapSpec, MigrationCause,
-    MultiOptions, Region, RegionSpec, RunOptions, Schedule, SplitSpec,
+    MultiOptions, MultiReport, Region, RegionSpec, RtResult, RunOptions, Schedule, SplitSpec,
 };
 
 const NZ: usize = 64;
@@ -96,13 +96,14 @@ fn assert_output_matches(gpus: &[Gpu], region: &Region, expect: &[f32]) {
     );
 }
 
-fn opts() -> RunOptions {
-    RunOptions::default().with_multi(
-        MultiOptions::default()
-            .with_probe_cost(PROBE.0, PROBE.1)
-            .with_slice_chunks(2)
-            .with_watchdog(SimTime::from_ms(2)),
-    )
+/// Co-schedule `region` under supervision: slices of 2 chunks, a 2 ms
+/// hang watchdog.
+fn supervised(gpus: &mut [Gpu], region: &Region) -> RtResult<MultiReport> {
+    let multi = MultiOptions::default()
+        .with_probe_cost(PROBE.0, PROBE.1)
+        .with_slice_chunks(2)
+        .with_watchdog(SimTime::from_ms(2));
+    run_model_multi(gpus, region, &builder, &multi)
 }
 
 /// Completed ranges must be pairwise disjoint and tile the region.
@@ -122,7 +123,7 @@ fn assert_tiling(completed: &[Vec<(i64, i64)>], lo: i64, hi: i64) {
 /// yardstick for placing command-triggered loss at a progress fraction.
 fn clean_device0_commands() -> u64 {
     let (mut gpus, region) = shared_setup(&[DeviceProfile::k40m(), DeviceProfile::hd7970()]);
-    let multi = run_model_multi(&mut gpus, &region, &builder, &opts()).unwrap();
+    let multi = supervised(&mut gpus, &region).unwrap();
     assert!(multi.recovery.is_clean());
     multi.per_device[0].as_ref().unwrap().commands
 }
@@ -138,7 +139,7 @@ fn device_loss_at_each_progress_stage_is_observationally_clean() {
         let after = ((budget as f64 * frac) as u64).max(1);
         gpus[0].set_fault_plan(Some(FaultPlan::seeded(42).device_lost_after(after)));
 
-        let multi = run_model_multi(&mut gpus, &region, &builder, &opts())
+        let multi = supervised(&mut gpus, &region)
             .unwrap_or_else(|e| panic!("failover at {frac} failed: {e}"));
 
         assert_eq!(multi.recovery.devices_lost, vec![0], "at {frac}");
@@ -180,7 +181,7 @@ fn hang_is_escalated_by_the_watchdog_and_survivor_finishes() {
     // the watchdog must escalate it to device loss.
     gpus[0].set_fault_plan(Some(FaultPlan::seeded(7).hang_rate(1.0)));
 
-    let multi = run_model_multi(&mut gpus, &region, &builder, &opts()).unwrap();
+    let multi = supervised(&mut gpus, &region).unwrap();
     assert_eq!(multi.recovery.devices_lost, vec![0]);
     assert_eq!(multi.recovery.watchdog_fires, 1);
     assert_eq!(multi.recovery.rebalance_events, 1);
@@ -202,7 +203,7 @@ fn straggler_sheds_a_bounded_tail() {
     // threshold — but nothing fails outright.
     gpus[0].set_fault_plan(Some(FaultPlan::seeded(9).spikes(1.0, 32.0)));
 
-    let multi = run_model_multi(&mut gpus, &region, &builder, &opts()).unwrap();
+    let multi = supervised(&mut gpus, &region).unwrap();
     let rep0 = multi.per_device[0].as_ref().unwrap();
     assert!(rep0.spikes > 0, "spike injection must be visible in the report");
     assert!(multi.recovery.devices_lost.is_empty());
@@ -228,7 +229,7 @@ fn losing_every_device_is_an_error() {
     let (mut gpus, region) = shared_setup(&[DeviceProfile::k40m(), DeviceProfile::k40m()]);
     gpus[0].set_fault_plan(Some(FaultPlan::seeded(1).device_lost_after(2u64)));
     gpus[1].set_fault_plan(Some(FaultPlan::seeded(2).device_lost_after(2u64)));
-    let err = run_model_multi(&mut gpus, &region, &builder, &opts()).unwrap_err();
+    let err = supervised(&mut gpus, &region).unwrap_err();
     assert!(err.to_string().contains("device lost"), "{err}");
     assert!(gpus.iter().all(|g| g.device_lost().is_some()));
 }
@@ -238,7 +239,7 @@ fn survivor_trace_carries_migration_spans_and_alive_counter() {
     let budget = clean_device0_commands();
     let (mut gpus, region) = shared_setup(&[DeviceProfile::k40m(), DeviceProfile::hd7970()]);
     gpus[0].set_fault_plan(Some(FaultPlan::seeded(42).device_lost_after(budget / 2)));
-    let multi = run_model_multi(&mut gpus, &region, &builder, &opts()).unwrap();
+    let multi = supervised(&mut gpus, &region).unwrap();
 
     assert_eq!(multi.devices_alive.samples.first(), Some(&(0, 2.0)));
     assert_eq!(multi.devices_alive.samples.len(), 2);
@@ -263,7 +264,7 @@ fn deterministic_failover_is_reproducible() {
         let (mut gpus, region) =
             shared_setup(&[DeviceProfile::k40m(), DeviceProfile::hd7970()]);
         gpus[0].set_fault_plan(Some(FaultPlan::seeded(42).device_lost_after(budget / 2)));
-        let multi = run_model_multi(&mut gpus, &region, &builder, &opts()).unwrap();
+        let multi = supervised(&mut gpus, &region).unwrap();
         let mut got = vec![0.0f32; NZ * SLICE];
         gpus[0].host_read(region.arrays[1], 0, &mut got).unwrap();
         (multi.makespan, multi.recovery, got)

@@ -333,3 +333,59 @@ fn disabled_retry_surfaces_device_error() {
     .unwrap_err();
     assert!(matches!(err, RtError::Sim(_)), "got {err}");
 }
+
+/// A degraded report accounts for the fallback's work the way a later
+/// slice does: its chunks join the chunk count, and every command it
+/// executed lands in the stage histograms next to the primary's.
+#[test]
+fn degraded_report_includes_the_fallback_chunks() {
+    // The fallback alone: a clean Pipelined run over the sub-range the
+    // ladder hands down below.
+    let fallback = {
+        let mut g = gpu();
+        let mut sub = setup(&mut g, 2, 3);
+        (sub.lo, sub.hi) = (7, 9);
+        run_model(
+            &mut g,
+            &sub,
+            &stencil_builder,
+            ExecModel::Pipelined,
+            &RunOptions::default(),
+        )
+        .unwrap()
+    };
+
+    let mut g = gpu();
+    let region = setup(&mut g, 2, 3);
+    // Kernel occurrence 3 is chunk [7, 9) and 7 its one reissue, so the
+    // buffered model gives up on that chunk and Pipelined re-runs it.
+    let plan = [3, 7].into_iter().fold(FaultPlan::seeded(23), |p, n| {
+        p.target(FaultStage::Kernel, n)
+    });
+    g.set_fault_plan(Some(plan));
+    let opts = RunOptions::default()
+        .with_retry(RetryPolicy::retries(1).with_backoff(SimTime::from_us(10), 2.0))
+        .with_degrade(true);
+    let report = run_model(
+        &mut g,
+        &region,
+        &stencil_builder,
+        ExecModel::PipelinedBuffer,
+        &opts,
+    )
+    .unwrap();
+    let d = &report.recovery.degradations;
+    assert_eq!(d.len(), 1);
+    assert_eq!((d[0].to, d[0].iterations), (ExecModel::Pipelined, (7, 9)));
+
+    // Seven primary chunks plus the fallback's.
+    assert_eq!(report.chunks, 7 + fallback.chunks);
+    // Every executed command is in a histogram: the net commands plus
+    // the reissued ones, primary and fallback alike.
+    let sm = &report.stage_metrics;
+    let recorded = sm.h2d.count() + sm.kernel.count() + sm.d2h.count();
+    assert_eq!(
+        recorded,
+        report.commands + report.recovery.reissued_commands
+    );
+}

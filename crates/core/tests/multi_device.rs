@@ -1,11 +1,11 @@
 //! Multi-device co-scheduling tests: regions split across several
 //! simulated GPUs sharing one host pool (the §VII extension).
 
-use gpsim::{DeviceProfile, ExecMode, Gpu, HostPool, KernelCost, KernelLaunch};
+use gpsim::{DeviceProfile, ExecMode, FaultPlan, Gpu, HostPool, KernelCost, KernelLaunch};
 use pipeline_rt::{
-    run_model, run_model_multi, Affine, ChunkCtx, ExecModel, KernelBuilder, MapDir, MapSpec,
-    MultiOptions, MultiReport, Region, RegionSpec, RtError, RtResult, RunOptions, Schedule,
-    SplitSpec,
+    partition_iterations, resolve_plan, run_model, run_model_multi, Affine, Calibration, ChunkCtx,
+    CostModel, ExecModel, KernelBuilder, MapDir, MapSpec, MultiOptions, MultiReport, Region,
+    RegionSpec, RtError, RtResult, RunOptions, Schedule, SplitSpec,
 };
 
 const NZ: usize = 64;
@@ -17,42 +17,53 @@ fn run_pipelined_buffer_multi(
     builder: &KernelBuilder<'_>,
     probe_cost: (u64, u64),
 ) -> RtResult<MultiReport> {
-    let opts = RunOptions::default()
-        .with_multi(MultiOptions::new().with_probe_cost(probe_cost.0, probe_cost.1));
-    run_model_multi(gpus, region, builder, &opts)
+    let multi = MultiOptions::default().with_probe_cost(probe_cost.0, probe_cost.1);
+    run_model_multi(gpus, region, builder, &multi)
 }
 
 fn shared_setup(profiles: &[DeviceProfile]) -> (Vec<Gpu>, Region) {
-    let pool = HostPool::new(ExecMode::Functional);
+    let schedule = Schedule::static_(2, 3);
+    let (gpus, region) = setup_on(profiles, ExecMode::Functional, schedule, NZ, SLICE);
+    gpus[0]
+        .host_fill(region.arrays[0], |i| (i % 113) as f32)
+        .unwrap();
+    (gpus, region)
+}
+
+/// `out[k] = in[k-1] + in[k] + in[k+1]` over `extent` slices of `slice`
+/// elements, bound on every device of one shared host pool.
+fn setup_on(
+    profiles: &[DeviceProfile],
+    mode: ExecMode,
+    schedule: Schedule,
+    extent: usize,
+    slice: usize,
+) -> (Vec<Gpu>, Region) {
+    let pool = HostPool::new(mode);
     let mut gpus: Vec<Gpu> = profiles
         .iter()
         .map(|p| Gpu::with_host_pool(p.clone(), pool.clone()).unwrap())
         .collect();
-    let input = gpus[0].alloc_host(NZ * SLICE, true).unwrap();
-    let output = gpus[0].alloc_host(NZ * SLICE, true).unwrap();
-    gpus[0].host_fill(input, |i| (i % 113) as f32).unwrap();
-    let spec = RegionSpec::new(Schedule::static_(2, 3))
+    let input = gpus[0].alloc_host(extent * slice, true).unwrap();
+    let output = gpus[0].alloc_host(extent * slice, true).unwrap();
+    let one_d = |offset, window| SplitSpec::OneD {
+        offset,
+        window,
+        extent,
+        slice_elems: slice,
+    };
+    let spec = RegionSpec::new(schedule)
         .with_map(MapSpec {
             name: "in".into(),
             dir: MapDir::To,
-            split: SplitSpec::OneD {
-                offset: Affine::shifted(-1),
-                window: 3,
-                extent: NZ,
-                slice_elems: SLICE,
-            },
+            split: one_d(Affine::shifted(-1), 3),
         })
         .with_map(MapSpec {
             name: "out".into(),
             dir: MapDir::From,
-            split: SplitSpec::OneD {
-                offset: Affine::IDENTITY,
-                window: 1,
-                extent: NZ,
-                slice_elems: SLICE,
-            },
+            split: one_d(Affine::IDENTITY, 1),
         });
-    let region = Region::new(spec, 1, (NZ - 1) as i64, vec![input, output]);
+    let region = Region::new(spec, 1, (extent - 1) as i64, vec![input, output]);
     (gpus, region)
 }
 
@@ -199,14 +210,12 @@ fn model_partition_shifts_heterogeneous_shares_and_stays_correct() {
     let expect = expected(&gpus[0], region.arrays[0]);
 
     let heuristic = {
-        let opts = RunOptions::default()
-            .with_multi(MultiOptions::default().with_probe_cost(PROBE.0, PROBE.1));
-        run_model_multi(&mut gpus, &region, &builder, &opts).unwrap()
+        let multi = MultiOptions::default().with_probe_cost(PROBE.0, PROBE.1);
+        run_model_multi(&mut gpus, &region, &builder, &multi).unwrap()
     };
     let modeled = {
-        let opts =
-            RunOptions::default().with_multi(MultiOptions::default().with_model_partition(vec![]));
-        run_model_multi(&mut gpus, &region, &builder, &opts).unwrap()
+        let multi = MultiOptions::default().with_model_partition(vec![]);
+        run_model_multi(&mut gpus, &region, &builder, &multi).unwrap()
     };
 
     let share = |m: &pipeline_rt::MultiReport| -> Vec<i64> {
@@ -225,4 +234,86 @@ fn model_partition_shifts_heterogeneous_shares_and_stays_correct() {
         &got[SLICE..(NZ - 1) * SLICE],
         &expect[SLICE..(NZ - 1) * SLICE]
     );
+}
+
+#[test]
+fn model_partition_predicts_the_adaptive_schedule_each_device_runs() {
+    // An adaptive region sizes its chunks to each device's bandwidth
+    // ramp (96 KiB on the K40m, 48 KiB on the P100), so the partition
+    // weights must come from predictions of those resolved schedules.
+    const SLICE: u64 = 4096;
+    let profiles = [DeviceProfile::k40m(), DeviceProfile::p100()];
+    let (mut gpus, region) = setup_on(
+        &profiles,
+        ExecMode::Timing,
+        Schedule::Adaptive,
+        1024,
+        SLICE as usize,
+    );
+    let builder = |ctx: &ChunkCtx| {
+        let n = (ctx.k1 - ctx.k0) as u64;
+        KernelLaunch::cost_only(
+            "sum3",
+            KernelCost {
+                flops: n * SLICE * 2,
+                bytes: n * SLICE * 16,
+            },
+        )
+    };
+    let iters = (region.hi - region.lo) as f64;
+    let per_iter = |gpu: &Gpu, (chunk, streams): (usize, usize)| {
+        let cm = CostModel::new(gpu, &region, &builder).unwrap();
+        let p = cm
+            .predict(ExecModel::PipelinedBuffer, chunk, streams)
+            .unwrap();
+        p.total.as_secs_f64() / iters
+    };
+    let resolved: Vec<(usize, usize)> = gpus
+        .iter()
+        .map(|g| {
+            let plan = resolve_plan(&region.spec, g.profile(), region.lo, region.hi).unwrap();
+            (plan.chunk_size, plan.num_streams)
+        })
+        .collect();
+    assert_eq!(resolved, vec![(24, 3), (12, 3)]);
+    let costs: Vec<f64> = gpus
+        .iter()
+        .zip(&resolved)
+        .map(|(g, &s)| per_iter(g, s))
+        .collect();
+    let want = partition_iterations(region.lo, region.hi, &costs);
+    // One fixed schedule on both devices would split differently.
+    let fixed: Vec<f64> = gpus.iter().map(|g| per_iter(g, (8, 2))).collect();
+    assert_ne!(partition_iterations(region.lo, region.hi, &fixed), want);
+
+    let multi = MultiOptions::default().with_model_partition(vec![]);
+    let rep = run_model_multi(&mut gpus, &region, &builder, &multi).unwrap();
+    assert_eq!(rep.partitions, want);
+
+    // An override profile drives the prediction only: the K40m still
+    // runs its own (24, 3), predicted with the P100's engine rates.
+    let mut cm = CostModel::new(&gpus[0], &region, &builder).unwrap();
+    cm.set_profile(DeviceProfile::p100());
+    let p = cm.predict(ExecModel::PipelinedBuffer, 24, 3).unwrap();
+    let costs = [p.total.as_secs_f64() / iters, costs[1]];
+    let want = partition_iterations(region.lo, region.hi, &costs);
+    let multi = MultiOptions::default().with_model_partition(vec![
+        Some((DeviceProfile::p100(), Calibration::default())),
+        None,
+    ]);
+    let rep = run_model_multi(&mut gpus, &region, &builder, &multi).unwrap();
+    assert_eq!(rep.partitions, want);
+
+    // A supervised device runs slices of `8 * slice_chunks` adaptive
+    // iterations, which caps both devices' chunk at 32 / 3 = 10.
+    for g in gpus.iter_mut() {
+        g.set_fault_plan(Some(FaultPlan::seeded(1).device_lost_after(u64::MAX)));
+    }
+    let costs: Vec<f64> = gpus.iter().map(|g| per_iter(g, (10, 3))).collect();
+    let want = partition_iterations(region.lo, region.hi, &costs);
+    let multi = MultiOptions::default()
+        .with_slice_chunks(4)
+        .with_model_partition(vec![]);
+    let rep = run_model_multi(&mut gpus, &region, &builder, &multi).unwrap();
+    assert_eq!(rep.partitions, want);
 }

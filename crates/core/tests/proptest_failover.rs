@@ -9,7 +9,7 @@ use gpsim::{DeviceProfile, ExecMode, FaultPlan, Gpu, HostPool, KernelCost, Kerne
 use proptest::prelude::*;
 use pipeline_rt::{
     run_model_multi, Affine, ChunkCtx, MapDir, MapSpec, MultiOptions, Region, RegionSpec,
-    RunOptions, Schedule, SplitSpec,
+    Schedule, SplitSpec,
 };
 
 /// A randomly shaped pipeline problem: `out[k] (+)= Σ in[k+bias ..]`.
@@ -170,16 +170,14 @@ fn read_interior(gpu: &Gpu, region: &Region, s: &Shape, lo: i64, hi: i64) -> Vec
     v[lo as usize * s.slice..hi as usize * s.slice].to_vec()
 }
 
-fn supervise(s: &Shape) -> RunOptions {
-    RunOptions::default().with_multi(
-        MultiOptions::default()
-            .with_probe_cost(
-                s.slice as u64 * s.window as u64,
-                s.slice as u64 * 4 * (s.window as u64 + 1),
-            )
-            .with_slice_chunks(2)
-            .with_watchdog(SimTime::from_us(200)),
-    )
+fn supervise(s: &Shape) -> MultiOptions {
+    MultiOptions::default()
+        .with_probe_cost(
+            s.slice as u64 * s.window as u64,
+            s.slice as u64 * 4 * (s.window as u64 + 1),
+        )
+        .with_slice_chunks(2)
+        .with_watchdog(SimTime::from_us(200))
 }
 
 fn check(s: &Shape, d: &Disruption) -> Result<(), TestCaseError> {

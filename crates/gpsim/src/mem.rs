@@ -140,7 +140,7 @@ impl DevPtr {
 
 /// Read view of one whole device allocation, resolved once.
 ///
-/// Obtained from [`MemPool::dev_read`] (or
+/// Obtained from the simulator's device memory pool (or
 /// [`KernelCtx::read_view`](crate::KernelCtx::read_view) inside a kernel
 /// body). The allocation table is consulted and the `RefCell` borrowed a
 /// single time when the view is created; every subsequent
@@ -189,8 +189,8 @@ impl std::fmt::Debug for AllocRead<'_> {
 
 /// Write view of one whole device allocation, resolved once.
 ///
-/// The mutable counterpart of [`AllocRead`]; obtained from
-/// [`MemPool::dev_write`] or
+/// The mutable counterpart of [`AllocRead`]; obtained from the device
+/// memory pool or
 /// [`KernelCtx::write_view`](crate::KernelCtx::write_view). Holding it
 /// excludes every other view of the same allocation (a data race on a
 /// real device), exactly like `dev_slice_mut`.

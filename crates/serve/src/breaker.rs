@@ -3,38 +3,24 @@
 //! The failover path makes a single device loss cheap, but a device
 //! that fails *every other quantum* (flaky link, marginal board) would
 //! keep soaking up dispatches, failing them, and forcing restores. The
-//! breaker watches a sliding window of per-quantum outcomes and takes
-//! the device out of rotation once the failure rate crosses a
-//! threshold. After a cooldown it admits exactly one probe quantum
-//! (half-open); a clean probe closes the breaker, a failed probe
-//! re-opens it with a doubled cooldown.
+//! breaker watches a sliding window of the last 8 per-quantum outcomes
+//! and takes the device out of rotation once half of them failed. After
+//! a 2 ms cooldown it admits exactly one probe quantum (half-open); a
+//! clean probe closes the breaker, a failed probe re-opens it with a
+//! doubled cooldown. Every device of a `serve` call carries one.
 //!
 //! All decisions are pure functions of the recorded outcome sequence
 //! and the simulated clock — no wall-clock anywhere.
 
 use gpsim::SimTime;
 
-/// Breaker tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Sliding window length, in recorded quanta.
-    pub window: usize,
-    /// Open when `failures / window >= threshold` with a full window.
-    pub threshold: f64,
-    /// Initial cooldown before the first half-open probe; doubles on
-    /// every failed probe.
-    pub cooldown: SimTime,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            window: 8,
-            threshold: 0.5,
-            cooldown: SimTime::from_ms(2),
-        }
-    }
-}
+/// Sliding window length, in recorded quanta.
+const WINDOW: usize = 8;
+/// Open when `failures / WINDOW >= THRESHOLD` with a full window.
+const THRESHOLD: f64 = 0.5;
+/// Initial cooldown before the first half-open probe; doubles on every
+/// failed probe.
+const COOLDOWN: SimTime = SimTime::from_ms(2);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -50,10 +36,9 @@ enum State {
 /// The breaker for one device.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     state: State,
     /// Ring buffer of recent outcomes (true = quantum failed).
-    recent: Vec<bool>,
+    recent: [bool; WINDOW],
     next_slot: usize,
     filled: usize,
     /// Current cooldown (doubles per consecutive failed probe).
@@ -62,25 +47,21 @@ pub struct CircuitBreaker {
     trips: u64,
 }
 
-impl CircuitBreaker {
-    /// A closed breaker with `cfg`.
-    pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
-        assert!(cfg.window > 0, "breaker window must be non-empty");
-        assert!(
-            cfg.threshold > 0.0 && cfg.threshold <= 1.0,
-            "breaker threshold must be in (0, 1]"
-        );
+impl Default for CircuitBreaker {
+    /// A closed breaker.
+    fn default() -> CircuitBreaker {
         CircuitBreaker {
-            cfg,
             state: State::Closed,
-            recent: vec![false; cfg.window],
+            recent: [false; WINDOW],
             next_slot: 0,
             filled: 0,
-            backoff: cfg.cooldown,
+            backoff: COOLDOWN,
             trips: 0,
         }
     }
+}
 
+impl CircuitBreaker {
     /// Whether a dispatch to this device is admitted at `now`. An
     /// expired `Open` admits (that dispatch becomes the half-open
     /// probe); this is a pure query — state moves in [`record`].
@@ -110,34 +91,35 @@ impl CircuitBreaker {
         let probing = matches!(self.state, State::HalfOpen)
             || matches!(self.state, State::Open { until } if now >= until);
         self.recent[self.next_slot] = !ok;
-        self.next_slot = (self.next_slot + 1) % self.cfg.window;
-        self.filled = (self.filled + 1).min(self.cfg.window);
+        self.next_slot = (self.next_slot + 1) % WINDOW;
+        self.filled = (self.filled + 1).min(WINDOW);
         if probing {
             if ok {
                 // Healthy again: close and forget the failure history.
                 self.state = State::Closed;
-                self.backoff = self.cfg.cooldown;
+                self.backoff = COOLDOWN;
                 self.recent.fill(false);
                 self.filled = 0;
             } else {
-                self.trips += 1;
-                self.state = State::Open {
-                    until: now + self.backoff,
-                };
-                self.backoff = self.backoff + self.backoff;
+                self.trip(now);
             }
             return;
         }
-        if !ok && self.filled == self.cfg.window {
+        if !ok && self.filled == WINDOW {
             let failures = self.recent.iter().filter(|&&f| f).count();
-            if failures as f64 >= self.cfg.threshold * self.cfg.window as f64 {
-                self.trips += 1;
-                self.state = State::Open {
-                    until: now + self.backoff,
-                };
-                self.backoff = self.backoff + self.backoff;
+            if failures as f64 >= THRESHOLD * WINDOW as f64 {
+                self.trip(now);
             }
         }
+    }
+
+    /// Open until `now` plus the current cooldown, then double it.
+    fn trip(&mut self, now: SimTime) {
+        self.trips += 1;
+        self.state = State::Open {
+            until: now + self.backoff,
+        };
+        self.backoff = self.backoff + self.backoff;
     }
 
     /// Mark the in-flight dispatch as the half-open probe (call when
@@ -164,49 +146,41 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            window: 4,
-            threshold: 0.5,
-            cooldown: SimTime::from_ms(1),
-        }
-    }
-
     #[test]
     fn opens_at_threshold_and_probes_after_cooldown() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::default();
         let t = SimTime::from_us(10);
-        // 2 failures in a window of 4 hits the 0.5 threshold.
-        b.record(t, true);
-        b.record(t, false);
-        b.record(t, true);
+        // 4 failures in a window of 8 hits the 0.5 threshold.
+        for i in 0..WINDOW - 1 {
+            b.record(t, i % 2 == 0);
+        }
         assert!(b.admits(t), "below threshold stays closed");
         b.record(t, false);
         assert!(b.is_open());
         assert!(!b.admits(t), "cooldown blocks dispatch");
         assert_eq!(b.trips(), 1);
-        let later = t + SimTime::from_ms(1);
+        let later = t + COOLDOWN;
         assert!(b.admits(later), "expired cooldown admits the probe");
     }
 
     #[test]
     fn clean_probe_closes_failed_probe_doubles_backoff() {
-        let mut b = CircuitBreaker::new(cfg());
+        let mut b = CircuitBreaker::default();
         let t = SimTime::ZERO;
-        for _ in 0..4 {
+        for _ in 0..WINDOW {
             b.record(t, false);
         }
         assert!(b.is_open());
         // Failed probe: re-open with doubled cooldown.
-        let p1 = t + SimTime::from_ms(1);
+        let p1 = t + COOLDOWN;
         b.begin_probe();
         b.record(p1, false);
         assert!(b.is_open());
-        assert!(!b.admits(p1 + SimTime::from_ms(1)), "backoff doubled to 2ms");
-        assert!(b.admits(p1 + SimTime::from_ms(2)));
+        assert!(!b.admits(p1 + COOLDOWN), "backoff doubled");
+        assert!(b.admits(p1 + COOLDOWN + COOLDOWN));
         assert_eq!(b.trips(), 2);
         // Clean probe: fully closed, history cleared.
-        let p2 = p1 + SimTime::from_ms(2);
+        let p2 = p1 + COOLDOWN + COOLDOWN;
         b.begin_probe();
         b.record(p2, true);
         assert!(!b.is_open());
@@ -220,11 +194,11 @@ mod tests {
         // The serial server may dispatch straight off an expired Open
         // without an explicit transition call; record() must still
         // treat that outcome as the probe's.
-        let mut b = CircuitBreaker::new(cfg());
-        for _ in 0..4 {
+        let mut b = CircuitBreaker::default();
+        for _ in 0..WINDOW {
             b.record(SimTime::ZERO, false);
         }
-        let after = SimTime::from_ms(1);
+        let after = COOLDOWN;
         assert!(b.admits(after));
         b.record(after, true);
         assert!(!b.is_open(), "clean probe closes");

@@ -76,10 +76,10 @@ impl Fleet {
     }
 
     /// Run a small stencil probe on every device and fold the measured
-    /// run into that device's calibration multipliers, exactly as
-    /// `with_model_partition` does per-device inside a multi-GPU run.
-    /// Probe buffers are freed afterwards, so fleet memory accounting
-    /// starts clean.
+    /// run into that device's calibration multipliers
+    /// ([`Calibration::update`](pipeline_rt::Calibration::update) of the
+    /// cost model's prediction against the run). Probe buffers are freed
+    /// afterwards, so fleet memory accounting starts clean.
     pub fn calibrate(&mut self) -> RtResult<()> {
         let cfg = StencilConfig::test_small();
         let opts = RunOptions::default();

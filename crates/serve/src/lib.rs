@@ -37,7 +37,7 @@ pub mod server;
 pub mod workload;
 
 pub use admission::{RateLimit, Rejection, RejectionCounts, TokenBucket};
-pub use breaker::{BreakerConfig, CircuitBreaker};
+pub use breaker::CircuitBreaker;
 pub use fleet::{DeviceModel, Fleet};
 pub use job::{GemmConfig, JobInstance, JobShape, JobSpec, ShapeSig, TenantSpec};
 pub use metrics::{jain_index, ServeReport, TenantStats};

@@ -27,9 +27,9 @@
 //! [`ResumableRun`]'s checkpoint and the job requeued with its cursor
 //! intact; a lost device is taken out of rotation and the remainder
 //! re-placed on survivors by the same calibrated cost model that placed
-//! it initially. Flaky-but-alive devices are circuit-broken once their
-//! recent failure rate crosses [`BreakerConfig::threshold`], with
-//! half-open probing re-admission.
+//! it initially. Flaky-but-alive devices are circuit-broken once half
+//! of their last 8 quanta failed, with half-open probing re-admission
+//! (see [`CircuitBreaker`]).
 //!
 //! # Verification
 //!
@@ -56,7 +56,7 @@ use pipeline_rt::{
 };
 
 use crate::admission::{RateLimit, Rejection, RejectionCounts, TokenBucket};
-use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::fleet::{DeviceModel, Fleet};
 use crate::job::{DataKey, JobInstance, JobShape, JobSpec, ShapeSig, TenantSpec};
 use crate::metrics::{ServeReport, TenantStats};
@@ -73,8 +73,6 @@ pub struct ServeOptions {
     /// self-check; references are memoized per call — see the module
     /// docs).
     pub verify_preempted: bool,
-    /// Options forwarded to every slice execution.
-    pub run: RunOptions,
     /// Within-tenant queue order (EDF by default; FIFO is the PR 9
     /// baseline the chaos harness compares against).
     pub order: QueueOrder,
@@ -92,26 +90,21 @@ pub struct ServeOptions {
     /// Shed best-effort tenants' jobs outright when the predicted drain
     /// time exceeds this ([`Rejection::Overload`]). `None` never sheds.
     pub shed_horizon: Option<SimTime>,
-    /// Per-device circuit breaker; `None` disables breaking (a lost
-    /// device still leaves rotation permanently).
-    pub breaker: Option<BreakerConfig>,
 }
 
 impl ServeOptions {
-    /// Defaults: 150 µs quantum, verification on, EDF ordering, default
-    /// breaker, no admission quota, no feasibility shedding, no
-    /// overload horizons.
+    /// Defaults: 150 µs quantum, verification on, EDF ordering, no
+    /// admission quota, no feasibility shedding, no overload horizons.
+    /// Every device always carries a [`CircuitBreaker`].
     pub fn new() -> ServeOptions {
         ServeOptions {
             quantum: SimTime::from_us(150),
             verify_preempted: true,
-            run: RunOptions::default(),
             order: QueueOrder::Edf,
             rate_limit: None,
             feasibility: false,
             degrade_horizon: None,
             shed_horizon: None,
-            breaker: Some(BreakerConfig::default()),
         }
     }
 
@@ -124,12 +117,6 @@ impl ServeOptions {
     /// Enable or disable preempted/recovered-job verification.
     pub fn with_verify_preempted(mut self, verify: bool) -> ServeOptions {
         self.verify_preempted = verify;
-        self
-    }
-
-    /// Replace the per-slice run options.
-    pub fn with_run(mut self, run: RunOptions) -> ServeOptions {
-        self.run = run;
         self
     }
 
@@ -160,12 +147,6 @@ impl ServeOptions {
     /// Set the overload shed horizon.
     pub fn with_shed_horizon(mut self, h: SimTime) -> ServeOptions {
         self.shed_horizon = Some(h);
-        self
-    }
-
-    /// Replace (or disable, with `None`) the per-device breaker.
-    pub fn with_breaker(mut self, cfg: Option<BreakerConfig>) -> ServeOptions {
-        self.breaker = cfg;
         self
     }
 }
@@ -342,10 +323,7 @@ pub fn serve(
         Some(l) => tenants.iter().map(|_| TokenBucket::new(l)).collect(),
         None => Vec::new(),
     };
-    let mut breakers: Vec<CircuitBreaker> = match opts.breaker {
-        Some(cfg) => (0..ndev).map(|_| CircuitBreaker::new(cfg)).collect(),
-        None => Vec::new(),
-    };
+    let mut breakers = vec![CircuitBreaker::default(); ndev];
     let mut alive = vec![true; ndev];
 
     // Release queue: (release time, id) min-heap. Open-loop jobs enter
@@ -559,9 +537,7 @@ pub fn serve(
         let table = &cost_cache[&(spec.shape.sig(), model)];
         let placement = (0..ndev)
             .filter(|&d| alive[d])
-            .filter(|&d| {
-                breakers.is_empty() || breakers[d].admits(rel(&fleet.gpus, d))
-            })
+            .filter(|&d| breakers[d].admits(rel(&fleet.gpus, d)))
             .map(|d| (rel(&fleet.gpus, d).as_ns() + table[d] * remaining, d))
             .min();
         let Some((_, best_d)) = placement else {
@@ -592,7 +568,7 @@ pub fn serve(
                 .max(1)
         };
 
-        if !breakers.is_empty() && breakers[best_d].is_open() {
+        if breakers[best_d].is_open() {
             // Dispatching off an expired cooldown: this is the probe.
             breakers[best_d].begin_probe();
         }
@@ -606,16 +582,14 @@ pub fn serve(
             &mut fleet.gpus[best_d],
             &*a.inst.builder,
             model,
-            &opts.run,
+            &RunOptions::default(),
             iters,
         );
         let slice_end = rel(&fleet.gpus, best_d);
         match outcome {
             Ok(s) => {
                 debug_assert!(s.is_some(), "run_slice on an unfinished job");
-                if !breakers.is_empty() {
-                    breakers[best_d].record(slice_end, true);
-                }
+                breakers[best_d].record(slice_end, true);
             }
             Err(e) => {
                 // The slice is rolled back (cursor intact, ToFrom
@@ -625,9 +599,7 @@ pub fn serve(
                 if !lost && !recoverable(&e) {
                     return Err(e);
                 }
-                if !breakers.is_empty() {
-                    breakers[best_d].record(slice_end, false);
-                }
+                breakers[best_d].record(slice_end, false);
                 if lost {
                     alive[best_d] = false;
                     devices_lost += 1;
@@ -676,13 +648,7 @@ pub fn serve(
             }
             if (job.slices > 1 || state.hit_failure) && opts.verify_preempted {
                 verified += 1;
-                if verify_clean(
-                    spec,
-                    &fleet.gpus[best_d],
-                    &act.inst,
-                    &opts.run,
-                    &mut references,
-                )? {
+                if verify_clean(spec, &fleet.gpus[best_d], &act.inst, &mut references)? {
                     verified_ok += 1;
                 }
             }
@@ -752,7 +718,6 @@ fn verify_clean(
     spec: &JobSpec,
     served_on: &Gpu,
     inst: &JobInstance,
-    run_opts: &RunOptions,
     refs: &mut References,
 ) -> RtResult<bool> {
     let got = read_host(served_on, inst.output)?;
@@ -760,14 +725,14 @@ fn verify_clean(
     let data = spec.shape.data_key(spec.id);
     if data.is_salted() {
         refs.runs += 1;
-        return Ok(same_bits(&got, &reference_run(spec, model, run_opts)?));
+        return Ok(same_bits(&got, &reference_run(spec, model)?));
     }
     let key = (data, model, spec.shape.schedule());
     let want = match refs.outputs.entry(key) {
         Entry::Occupied(e) => e.into_mut(),
         Entry::Vacant(slot) => {
             refs.runs += 1;
-            slot.insert(reference_run(spec, model, run_opts)?)
+            slot.insert(reference_run(spec, model)?)
         }
     };
     Ok(same_bits(&got, want))
@@ -776,11 +741,11 @@ fn verify_clean(
 /// Run `spec` uninterrupted under `model` on a fresh K40m context and
 /// return its output. The context's timeline is off: nothing reads it,
 /// and output bits do not depend on it.
-fn reference_run(spec: &JobSpec, model: ExecModel, run_opts: &RunOptions) -> RtResult<Vec<f32>> {
+fn reference_run(spec: &JobSpec, model: ExecModel) -> RtResult<Vec<f32>> {
     let mut fresh = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional)?;
     fresh.set_timeline_enabled(false);
     let inst = spec.shape.setup(&mut fresh, spec.id)?;
-    run_model(&mut fresh, &inst.region, &*inst.builder, model, run_opts)?;
+    run_model(&mut fresh, &inst.region, &*inst.builder, model, &RunOptions::default())?;
     Ok(read_host(&fresh, inst.output)?)
 }
 

@@ -63,9 +63,8 @@ fn main() {
     let region = Region::new(spec(2, 3), 1, (NZ - 1) as i64, vec![input, output]);
 
     let single = run_model(&mut gpus[0], &region, &builder, ExecModel::PipelinedBuffer, &RunOptions::default()).unwrap();
-    let opts = RunOptions::default()
-        .with_multi(MultiOptions::default().with_probe_cost(6 * SLICE as u64, 16 * SLICE as u64));
-    let multi = run_model_multi(&mut gpus, &region, &builder, &opts).unwrap();
+    let mo = MultiOptions::default().with_probe_cost(6 * SLICE as u64, 16 * SLICE as u64);
+    let multi = run_model_multi(&mut gpus, &region, &builder, &mo).unwrap();
     for (i, (p, r)) in multi.partitions.iter().zip(&multi.per_device).enumerate() {
         let name = if i == 0 { "k40m   " } else { "hd7970 " };
         match r {

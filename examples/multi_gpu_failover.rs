@@ -62,13 +62,11 @@ fn builder(ctx: &ChunkCtx) -> KernelLaunch {
 }
 
 fn main() {
-    let opts = RunOptions::default().with_multi(
-        MultiOptions::default().with_probe_cost(3 * SLICE as u64, 8 * SLICE as u64),
-    );
+    let mo = MultiOptions::default().with_probe_cost(3 * SLICE as u64, 8 * SLICE as u64);
 
     // Fault-free co-scheduled reference.
     let (mut gpus, region) = setup();
-    let clean = run_model_multi(&mut gpus, &region, &builder, &opts).unwrap();
+    let clean = run_model_multi(&mut gpus, &region, &builder, &mo).unwrap();
     let mut expect = vec![0.0f32; NZ * SLICE];
     gpus[0].host_read(region.arrays[1], 0, &mut expect).unwrap();
     println!("fault-free co-scheduled run:");
@@ -84,7 +82,7 @@ fn main() {
     let budget = clean.per_device[0].as_ref().unwrap().commands;
     let (mut gpus, region) = setup();
     gpus[0].set_fault_plan(Some(FaultPlan::seeded(42).device_lost_after(budget / 2)));
-    let multi = run_model_multi(&mut gpus, &region, &builder, &opts).unwrap();
+    let multi = run_model_multi(&mut gpus, &region, &builder, &mo).unwrap();
 
     println!("\nK40m lost after {} commands:", budget / 2);
     let rec = &multi.recovery;

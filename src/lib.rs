@@ -52,8 +52,7 @@ pub mod prelude {
     pub use pipeline_rt::{run_model, run_model_multi, run_window_fn};
     // The pipeline description and its pieces.
     pub use pipeline_rt::{
-        Affine, ChunkCtx, KernelBuilder, MapDir, MapSpec, Pipeline, Region, RegionSpec, Schedule,
-        SplitSpec,
+        Affine, ChunkCtx, KernelBuilder, MapDir, MapSpec, Region, RegionSpec, Schedule, SplitSpec,
     };
     // Options and policies.
     pub use pipeline_rt::{
@@ -64,11 +63,11 @@ pub mod prelude {
     pub use pipeline_rt::{MultiReport, RtError, RtResult, RunReport};
     // Preemptible execution.
     pub use pipeline_rt::{JobReport, ResumableRun};
-    // Serving: the server, its policies (admission, queue order,
-    // breaker) and the report types.
+    // Serving: the server, its policies (admission, queue order) and
+    // the report types.
     pub use pipeline_serve::{
-        serve, BreakerConfig, Fleet, JobShape, JobSpec, QueueOrder, RateLimit, Rejection,
-        ServeOptions, ServeReport, TenantSpec, WorkloadConfig,
+        serve, Fleet, JobShape, JobSpec, QueueOrder, RateLimit, Rejection, ServeOptions,
+        ServeReport, TenantSpec, WorkloadConfig,
     };
 }
 

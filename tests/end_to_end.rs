@@ -101,9 +101,8 @@ fn directive_region_co_schedules_across_two_devices() {
     let src = read_host(&gpus[0], region.arrays[0]).unwrap();
     let expect = blur_reference(&src);
 
-    let opts = RunOptions::default()
-        .with_multi(MultiOptions::default().with_probe_cost(2 * PLANE as u64, 8 * PLANE as u64));
-    let multi = run_model_multi(&mut gpus, &region, &blur_builder, &opts).unwrap();
+    let mo = MultiOptions::default().with_probe_cost(2 * PLANE as u64, 8 * PLANE as u64);
+    let multi = run_model_multi(&mut gpus, &region, &blur_builder, &mo).unwrap();
     assert_eq!(multi.partitions.len(), 2);
 
     let got = read_host(&gpus[0], region.arrays[1]).unwrap();
