@@ -7,7 +7,8 @@
 //! and takes the device out of rotation once half of them failed. After
 //! a 2 ms cooldown it admits exactly one probe quantum (half-open); a
 //! clean probe closes the breaker, a failed probe re-opens it with a
-//! doubled cooldown. Every device of a `serve` call carries one.
+//! doubled cooldown, capped at 1 s. Every device of a `serve` call
+//! carries one.
 //!
 //! All decisions are pure functions of the recorded outcome sequence
 //! and the simulated clock — no wall-clock anywhere.
@@ -19,8 +20,11 @@ const WINDOW: usize = 8;
 /// Open when `failures / WINDOW >= THRESHOLD` with a full window.
 const THRESHOLD: f64 = 0.5;
 /// Initial cooldown before the first half-open probe; doubles on every
-/// failed probe.
+/// failed probe, up to [`MAX_COOLDOWN`].
 const COOLDOWN: SimTime = SimTime::from_ms(2);
+/// Longest cooldown: a device that keeps failing its probes is retried
+/// at least this often, and the reopen instant cannot overflow.
+const MAX_COOLDOWN: SimTime = SimTime::from_ms(1_000);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -41,7 +45,8 @@ pub struct CircuitBreaker {
     recent: [bool; WINDOW],
     next_slot: usize,
     filled: usize,
-    /// Current cooldown (doubles per consecutive failed probe).
+    /// Current cooldown (doubles per consecutive failed probe, up to
+    /// [`MAX_COOLDOWN`]).
     backoff: SimTime,
     /// Times the breaker has opened (reported).
     trips: u64,
@@ -113,13 +118,14 @@ impl CircuitBreaker {
         }
     }
 
-    /// Open until `now` plus the current cooldown, then double it.
+    /// Open until `now` plus the current cooldown, then double it up to
+    /// [`MAX_COOLDOWN`].
     fn trip(&mut self, now: SimTime) {
         self.trips += 1;
         self.state = State::Open {
             until: now + self.backoff,
         };
-        self.backoff = self.backoff + self.backoff;
+        self.backoff = (self.backoff + self.backoff).min(MAX_COOLDOWN);
     }
 
     /// Mark the in-flight dispatch as the half-open probe (call when
@@ -187,6 +193,27 @@ mod tests {
         // One fresh failure must not instantly re-open (window reset).
         b.record(p2, false);
         assert!(!b.is_open());
+    }
+
+    /// Regression: the cooldown doubled with no cap, so about 43 failed
+    /// probes in a row overflowed `now + backoff` (a panic in debug, a
+    /// reopen instant near `u64::MAX` ns in release).
+    #[test]
+    fn cooldown_stops_doubling_at_the_cap() {
+        let mut b = CircuitBreaker::default();
+        let mut now = SimTime::ZERO;
+        for _ in 0..WINDOW {
+            b.record(now, false);
+        }
+        for probe in 0..64 {
+            now = b.retry_at().expect("a failed probe re-opens");
+            b.begin_probe();
+            b.record(now, false);
+            let wait = b.retry_at().expect("a failed probe re-opens") - now;
+            assert!(wait <= MAX_COOLDOWN, "probe {probe}: cooldown {wait}");
+        }
+        assert_eq!(b.retry_at().unwrap() - now, MAX_COOLDOWN);
+        assert_eq!(b.trips(), 65);
     }
 
     #[test]

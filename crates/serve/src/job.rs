@@ -119,7 +119,8 @@ impl JobShape {
     /// same model and schedule, bit-identical outputs. Unlike
     /// [`JobShape::sig`] it covers every field that moves those bits —
     /// the stencil's `c0`/`c1` and the GEMM fill `salt` — and leaves
-    /// the schedule out. Keys the server's verification references.
+    /// the schedule out. Keys the server's verification references and
+    /// its input cache.
     pub(crate) fn data_key(&self, salt: u64) -> DataKey {
         let (kind, dims) = self.kind_dims();
         let (coeffs, salt) = match self {
@@ -155,7 +156,8 @@ impl JobShape {
     /// [`setup`](JobShape::setup) without the input fills: the same
     /// `alloc_host` calls and bound region, inputs left zeroed. Enough
     /// for a cost-model probe, whose predictions depend on shapes and
-    /// never on data.
+    /// never on data, and for the server's input cache, which copies
+    /// stored input bits in.
     pub(crate) fn bind(&self, gpu: &mut Gpu) -> RtResult<JobInstance> {
         self.materialize(gpu, None)
     }
@@ -224,8 +226,8 @@ pub(crate) struct DataKey {
 
 impl DataKey {
     /// Whether the job's inputs depend on its salt (GEMM). Such a key
-    /// is unique to one job, so a reference stored under it would never
-    /// be reused.
+    /// is unique to one job, so a reference or input set stored under
+    /// it would never be reused.
     pub(crate) fn is_salted(&self) -> bool {
         self.salt.is_some()
     }

@@ -135,6 +135,11 @@ pub struct ServeReport {
     /// sharing a data key, model and schedule share one run, so this is
     /// at most [`ServeReport::verified`].
     pub verify_reference_runs: u64,
+    /// Seeded input fills executed, for dispatch and reference runs
+    /// alike. Jobs sharing a data key copy one fill's bits, so every
+    /// distinct unsalted key counts once and every salted job once per
+    /// setup.
+    pub input_fills: u64,
     /// Jain fairness index over per-tenant `service/weight`.
     pub fairness: f64,
     /// End-to-end simulated makespan of the whole stream.

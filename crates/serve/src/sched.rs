@@ -10,6 +10,14 @@
 //! EDF (earliest absolute deadline first, deadline-free jobs last, with
 //! the FIFO key breaking ties) — deadline jobs then stop missing behind
 //! bulk work without ever stealing service *across* tenants.
+//!
+//! Each tenant's queue is a binary heap on that order's key, so a push,
+//! requeue or pop costs `O(log n)` in the tenant's backlog. Job ids are
+//! unique, so the key is a total order and the pop order is exactly the
+//! minimum a full scan would pick.
+
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use gpsim::SimTime;
 
@@ -42,10 +50,47 @@ pub struct QueueEntry {
     pub deadline: Option<SimTime>,
 }
 
+/// Within-tenant sort key, smallest first: the EDF deadline (or
+/// `ZERO` for every FIFO entry), then priority descending, arrival and
+/// id.
+type OrderKey = (SimTime, Reverse<u8>, SimTime, u64);
+
+fn order_key(order: QueueOrder, e: &QueueEntry) -> OrderKey {
+    let deadline = match order {
+        QueueOrder::Fifo => SimTime::ZERO,
+        QueueOrder::Edf => e.deadline.unwrap_or(SimTime::from_ns(u64::MAX)),
+    };
+    (deadline, Reverse(e.priority), e.arrival, e.id)
+}
+
+/// A queued entry ordered by its key alone, reversed so the max-heap
+/// pops the smallest key.
+struct Keyed(OrderKey, QueueEntry);
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Keyed) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for Keyed {}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Keyed) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Keyed) -> Ordering {
+        other.0.cmp(&self.0)
+    }
+}
+
 struct TenantQueue {
     weight: f64,
     pass: f64,
-    queue: Vec<QueueEntry>,
+    queue: BinaryHeap<Keyed>,
 }
 
 /// The fair-share scheduler over a fixed tenant set.
@@ -77,7 +122,7 @@ impl FairScheduler {
                 .map(|&w| TenantQueue {
                     weight: w,
                     pass: 0.0,
-                    queue: Vec::new(),
+                    queue: BinaryHeap::new(),
                 })
                 .collect(),
             order,
@@ -93,7 +138,7 @@ impl FairScheduler {
             let t = &mut self.tenants[tenant];
             t.pass = t.pass.max(self.vtime);
         }
-        self.tenants[tenant].queue.push(entry);
+        self.requeue(tenant, entry);
     }
 
     /// Dequeue the next job: minimum-pass backlogged tenant, best entry
@@ -111,23 +156,8 @@ impl FairScheduler {
             .min_by(|(ai, a), (bi, b)| a.pass.total_cmp(&b.pass).then(ai.cmp(bi)))
             .map(|(i, _)| i)?;
         self.vtime = self.vtime.max(self.tenants[tenant].pass);
-        let order = self.order;
-        let q = &mut self.tenants[tenant].queue;
-        let best = q
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| {
-                let fifo = (std::cmp::Reverse(e.priority), e.arrival, e.id);
-                match order {
-                    QueueOrder::Fifo => (SimTime::ZERO, fifo),
-                    QueueOrder::Edf => {
-                        (e.deadline.unwrap_or(SimTime::from_ns(u64::MAX)), fifo)
-                    }
-                }
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty queue");
-        Some((tenant, q.swap_remove(best)))
+        let Keyed(_, entry) = self.tenants[tenant].queue.pop().expect("non-empty queue");
+        Some((tenant, entry))
     }
 
     /// Re-enqueue a just-popped entry without the idle clamp: the
@@ -135,7 +165,8 @@ impl FairScheduler {
     /// blocked on a breaker), so its pass must not be dragged up to the
     /// global virtual time.
     pub fn requeue(&mut self, tenant: usize, entry: QueueEntry) {
-        self.tenants[tenant].queue.push(entry);
+        let key = order_key(self.order, &entry);
+        self.tenants[tenant].queue.push(Keyed(key, entry));
     }
 
     /// Charge `service` device time against `tenant`'s pass.
@@ -296,5 +327,144 @@ mod tests {
         // The finite-pass tenant wins; the two inf tenants drain in
         // stable index order. No panic, total order.
         assert_eq!(order, vec![2, 0, 1]);
+    }
+
+    /// The scheduler as it was before the heaps: one `Vec` per tenant,
+    /// scanned for the minimum key on every pop. Kept as the oracle.
+    struct ScanOracle {
+        /// `(weight, pass, queue)` per tenant.
+        tenants: Vec<(f64, f64, Vec<QueueEntry>)>,
+        order: QueueOrder,
+        vtime: f64,
+    }
+
+    impl ScanOracle {
+        fn new(weights: &[f64], order: QueueOrder) -> ScanOracle {
+            ScanOracle {
+                tenants: weights.iter().map(|&w| (w, 0.0, Vec::new())).collect(),
+                order,
+                vtime: 0.0,
+            }
+        }
+
+        fn push(&mut self, tenant: usize, entry: QueueEntry) {
+            let t = &mut self.tenants[tenant];
+            if t.2.is_empty() {
+                t.1 = t.1.max(self.vtime);
+            }
+            t.2.push(entry);
+        }
+
+        fn pop(&mut self) -> Option<(usize, QueueEntry)> {
+            let tenant = self
+                .tenants
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| !t.2.is_empty())
+                .min_by(|(ai, a), (bi, b)| a.1.total_cmp(&b.1).then(ai.cmp(bi)))
+                .map(|(i, _)| i)?;
+            self.vtime = self.vtime.max(self.tenants[tenant].1);
+            let order = self.order;
+            let q = &mut self.tenants[tenant].2;
+            let best = q
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| {
+                    let fifo = (Reverse(e.priority), e.arrival, e.id);
+                    match order {
+                        QueueOrder::Fifo => (SimTime::ZERO, fifo),
+                        QueueOrder::Edf => {
+                            (e.deadline.unwrap_or(SimTime::from_ns(u64::MAX)), fifo)
+                        }
+                    }
+                })
+                .map(|(i, _)| i)
+                .expect("non-empty queue");
+            Some((tenant, q.swap_remove(best)))
+        }
+
+        fn charge(&mut self, tenant: usize, service: SimTime) {
+            let t = &mut self.tenants[tenant];
+            t.1 += service.as_secs_f64() / t.0;
+        }
+
+        fn backlog(&self) -> usize {
+            self.tenants.iter().map(|t| t.2.len()).sum()
+        }
+    }
+
+    fn popped(p: Option<(usize, QueueEntry)>) -> Option<(usize, usize, u64)> {
+        p.map(|(t, e)| (t, e.job, e.id))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random push / pop / pop-charge-requeue / charge sequences
+        /// pop in exactly the oracle's order under both queue orders.
+        /// Small value ranges make priorities, arrivals and deadlines
+        /// tie often, so the id tie-break is exercised.
+        #[test]
+        fn heap_pops_in_the_linear_scan_order(
+            weights in proptest::collection::vec(1u32..4, 1..4),
+            edf in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..10, 0usize..3, 0u8..3, 0u64..4, proptest::option::of(0u64..4), 0u64..50),
+                0..200,
+            ),
+        ) {
+            let weights: Vec<f64> = weights.into_iter().map(f64::from).collect();
+            let order = if edf { QueueOrder::Edf } else { QueueOrder::Fifo };
+            let mut heap = FairScheduler::with_order(&weights, order);
+            let mut oracle = ScanOracle::new(&weights, order);
+            for (id, &(op, tenant, priority, arrival, deadline, service)) in ops.iter().enumerate() {
+                let tenant = tenant % weights.len();
+                let service = SimTime::from_us(service);
+                match op {
+                    0..=3 => {
+                        let e = QueueEntry {
+                            job: id,
+                            priority,
+                            arrival: SimTime::from_us(arrival),
+                            id: id as u64,
+                            deadline: deadline.map(SimTime::from_ms),
+                        };
+                        heap.push(tenant, e);
+                        oracle.push(tenant, e);
+                    }
+                    4..=6 => {
+                        let (got, want) = (heap.pop(), oracle.pop());
+                        proptest::prop_assert_eq!(popped(got), popped(want));
+                        if let Some((t, _)) = got {
+                            heap.charge(t, service);
+                            oracle.charge(t, service);
+                        }
+                    }
+                    7..=8 => {
+                        let (got, want) = (heap.pop(), oracle.pop());
+                        proptest::prop_assert_eq!(popped(got), popped(want));
+                        if let (Some((t, e)), Some((_, o))) = (got, want) {
+                            heap.charge(t, service);
+                            oracle.charge(t, service);
+                            heap.requeue(t, e);
+                            oracle.tenants[t].2.push(o);
+                        }
+                    }
+                    _ => {
+                        heap.charge(tenant, service);
+                        oracle.charge(tenant, service);
+                    }
+                }
+                proptest::prop_assert_eq!(heap.backlog(), oracle.backlog());
+                proptest::prop_assert_eq!(heap.is_empty(), oracle.backlog() == 0);
+            }
+            loop {
+                let (got, want) = (heap.pop(), oracle.pop());
+                proptest::prop_assert_eq!(popped(got), popped(want));
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }

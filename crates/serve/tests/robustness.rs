@@ -101,6 +101,33 @@ fn flaky_device_is_circuit_broken() {
     assert_eq!(report.devices_lost, 0, "faults are transient, not losses");
 }
 
+/// Regression: with every device flaky, failed half-open probes kept
+/// doubling the breaker cooldown with no cap until `now + cooldown`
+/// overflowed (a panic in debug builds, a makespan near `u64::MAX` ns
+/// in release).
+#[test]
+fn all_flaky_fleet_drains_with_bounded_cooldowns() {
+    let tenants = tenants(2);
+    let jobs = WorkloadConfig::new(0xF1A2, 80, tenants.len()).generate();
+    let mut fleet = Fleet::build(2).unwrap();
+    fleet.calibrate().unwrap();
+    for d in 0..2 {
+        fleet.arm_fault_plan(d, FaultPlan::seeded(3 + d as u64).kernel_rate(0.5), WATCHDOG);
+    }
+    let report = serve(&mut fleet, &tenants, &jobs, &ServeOptions::new()).unwrap();
+    check_conservation(&report);
+    assert_eq!(report.done, 80);
+    assert_eq!(report.devices_lost, 0, "faults are transient, not losses");
+    assert!(report.breaker_trips >= 2);
+    // About 51 s of mostly capped 1 s cooldowns; the uncapped doubling
+    // reported about 1.8e19 ns.
+    assert!(
+        report.makespan < SimTime::from_ms(100_000),
+        "makespan {} past 100 s",
+        report.makespan
+    );
+}
+
 #[test]
 fn over_quota_jobs_are_rejected_with_reason() {
     let tenants = tenants(2);

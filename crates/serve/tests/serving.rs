@@ -93,6 +93,11 @@ fn jobs_sharing_a_data_key_share_one_reference_run() {
         report.verify_reference_runs, 3,
         "one run for both conv3d jobs, one per salted GEMM job"
     );
+    assert_eq!(
+        report.input_fills, 5,
+        "one fill for both conv3d jobs and their reference, \
+         two per salted GEMM job (its dispatch and its reference)"
+    );
 }
 
 #[test]
