@@ -14,8 +14,8 @@
 //! Both policies keep failover and circuit breaking on: the comparison
 //! isolates what admission and queue order buy, not whether the fleet
 //! survives at all. Every run executes in functional mode so recovered
-//! and preempted jobs are re-executed uninterrupted and compared bit
-//! for bit.
+//! and preempted jobs are compared bit for bit with the app's scalar
+//! CPU reference; the `oracle` column counts the oracle evaluations.
 //!
 //! CI gates (the binary exits non-zero on any violation):
 //! * no accepted job is ever lost — `done + rejected == submitted`;
@@ -252,7 +252,7 @@ fn check_policy(name: &str, p: &PolicyResult) -> Result<(), String> {
     if rep.verified_ok != rep.verified {
         return Err(format!(
             "{name}/{}: {} of {} preempted/recovered jobs diverged from their \
-             uninterrupted reference",
+             CPU reference",
             p.policy,
             rep.verified - rep.verified_ok,
             rep.verified
@@ -350,14 +350,14 @@ pub fn print(results: &[ChaosResult]) {
             r.cell.mean_gap
         );
         println!(
-            "  {:>14}  {:>5}  {:>9}  {:>6}  {:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}  {:>5}",
+            "  {:>14}  {:>5}  {:>9}  {:>6}  {:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}  {:>6}",
             "policy", "done", "rejected", "miss", "jain", "lost", "trips", "recov", "degrade",
-            "verify", "refs"
+            "verify", "oracle"
         );
         for p in [&r.fifo, &r.hardened] {
             let rep = &p.report;
             println!(
-                "  {:>14}  {:>5}  {:>9}  {:>6.3}  {:>6.4}  {:>5}  {:>5}  {:>8}  {:>8}  {:>5}/{}  {:>5}",
+                "  {:>14}  {:>5}  {:>9}  {:>6.3}  {:>6.4}  {:>5}  {:>5}  {:>8}  {:>8}  {:>5}/{}  {:>6}",
                 p.policy,
                 rep.done,
                 rep.rejected.total(),

@@ -7,8 +7,8 @@
 //! fleet over one shared functional-mode host pool. The server places
 //! jobs with per-device calibrated cost-model predictions, preempts
 //! chunked jobs at quantum boundaries through the checkpoint/restore
-//! path, and re-executes every preempted job uninterrupted on a fresh
-//! context to prove bit-identical output — so each cell is
+//! path, and compares every preempted job's output with the app's
+//! scalar CPU reference to prove bit-identical output — so each cell is
 //! simultaneously a throughput measurement and a correctness proof.
 //!
 //! CI gates: every job drains, every preempted job verifies, the Jain
@@ -151,7 +151,7 @@ pub fn check(results: &[CellResult]) -> Result<(), String> {
         }
         if rep.verified_ok != rep.verified {
             return Err(format!(
-                "{name}: {} of {} preempted jobs diverged from their uninterrupted reference",
+                "{name}: {} of {} preempted jobs diverged from their CPU reference",
                 rep.verified - rep.verified_ok,
                 rep.verified
             ));
@@ -192,7 +192,7 @@ pub fn print(results: &[CellResult]) {
             r.cell.name, rep.devices, rep.submitted, r.cell.weights, r.wall_ms
         );
         println!(
-            "  done {}  preempted {} ({} slices)  verified {}/{} ({} reference runs)  \
+            "  done {}  preempted {} ({} slices)  verified {}/{} ({} oracle evaluations)  \
              fairness {:.4}  sim makespan {}  peak host {} bufs / {} KiB",
             rep.done,
             rep.preempted,

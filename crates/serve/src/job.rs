@@ -6,9 +6,10 @@
 //! first dispatch, entirely deterministically: re-running
 //! [`JobShape::setup`] with the same salt reproduces the exact input
 //! bits, which is what lets the server prove preempted jobs finished
-//! bit-identical to an uninterrupted run.
+//! bit-identical to [`JobShape::cpu_reference`] on those inputs.
 
 use gpsim::{Gpu, HostBufId, KernelCost, KernelLaunch, SimTime};
+use pipeline_apps::matmul::gemm_scalar;
 use pipeline_apps::util::fill_random;
 use pipeline_apps::{Conv3dConfig, QcdConfig, StencilConfig};
 use pipeline_rt::{
@@ -115,12 +116,12 @@ impl JobShape {
     }
 
     /// The job's data identity: two jobs with equal keys get
-    /// bit-identical inputs from [`JobShape::setup`] and, run under the
-    /// same model and schedule, bit-identical outputs. Unlike
-    /// [`JobShape::sig`] it covers every field that moves those bits —
-    /// the stencil's `c0`/`c1` and the GEMM fill `salt` — and leaves
-    /// the schedule out. Keys the server's verification references and
-    /// its input cache.
+    /// bit-identical inputs from [`JobShape::setup`] and so the same
+    /// [`JobShape::cpu_reference`] output under any model and schedule.
+    /// Unlike [`JobShape::sig`] it covers every field that moves those
+    /// bits — the stencil's `c0`/`c1` and the GEMM fill `salt` — and
+    /// leaves the schedule out. Keys the server's input cache and oracle
+    /// memo.
     pub(crate) fn data_key(&self, salt: u64) -> DataKey {
         let (kind, dims) = self.kind_dims();
         let (coeffs, salt) = match self {
@@ -160,6 +161,25 @@ impl JobShape {
     /// stored input bits in.
     pub(crate) fn bind(&self, gpu: &mut Gpu) -> RtResult<JobInstance> {
         self.materialize(gpu, None)
+    }
+
+    /// The job's output computed sequentially on the CPU from `inputs`,
+    /// its input buffers in [`JobInstance::buffers`] order without the
+    /// output: the app's `cpu_reference`, or for GEMM [`gemm_scalar`]
+    /// (the serving body's i-j-k order). Every exec model and schedule
+    /// must match it bit for bit. Panics on a wrong input count.
+    pub fn cpu_reference(&self, inputs: &[Vec<f32>]) -> Vec<f32> {
+        match (self, inputs) {
+            (JobShape::Conv3d(c), [a]) => c.cpu_reference(a),
+            (JobShape::Stencil(c), [a0]) => c.cpu_reference(a0),
+            (JobShape::Qcd(c), [psi, u, f]) => c.cpu_reference(psi, u, f),
+            (JobShape::Gemm(c), [a, b]) => {
+                let mut out = vec![0.0; c.n * c.n];
+                gemm_scalar(&mut out, a, b, c.n);
+                out
+            }
+            _ => panic!("{}: {} inputs", self.name(), inputs.len()),
+        }
     }
 
     /// Bind, then fill the inputs when given the fill salt.
@@ -226,8 +246,8 @@ pub(crate) struct DataKey {
 
 impl DataKey {
     /// Whether the job's inputs depend on its salt (GEMM). Such a key
-    /// is unique to one job, so a reference or input set stored under
-    /// it would never be reused.
+    /// is unique to one job, so the server drops what it stored under
+    /// it when the job retires.
     pub(crate) fn is_salted(&self) -> bool {
         self.salt.is_some()
     }
@@ -393,7 +413,6 @@ mod tests {
     use super::*;
     use gpsim::{DeviceProfile, ExecMode};
     use pipeline_apps::util::read_host;
-    use pipeline_rt::{run_model, RunOptions};
 
     fn gemm(n: usize) -> JobShape {
         JobShape::Gemm(GemmConfig {
@@ -428,24 +447,6 @@ mod tests {
                     .map(|x| x.to_bits())
                     .collect()
             })
-            .collect()
-    }
-
-    fn output_bits(shape: &JobShape, salt: u64) -> Vec<u32> {
-        let mut gpu = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional).unwrap();
-        let inst = shape.setup(&mut gpu, salt).unwrap();
-        run_model(
-            &mut gpu,
-            &inst.region,
-            &*inst.builder,
-            ExecModel::PipelinedBuffer,
-            &RunOptions::default(),
-        )
-        .unwrap();
-        read_host(&gpu, inst.output)
-            .unwrap()
-            .iter()
-            .map(|x| x.to_bits())
             .collect()
     }
 
@@ -497,8 +498,10 @@ mod tests {
             // only the data key can tell these apart.
             assert_eq!(shape.sig(), other.sig());
             assert_ne!(shape.data_key(0), other.data_key(0));
-            assert_eq!(setup_bits(&shape, 0), setup_bits(&other, 0));
-            assert_ne!(output_bits(&shape, 0), output_bits(&other, 0));
+            let inputs = setup_bits(&shape, 0);
+            assert_eq!(inputs, setup_bits(&other, 0));
+            let a0 = [inputs[0].iter().map(|&b| f32::from_bits(b)).collect()];
+            assert_ne!(shape.cpu_reference(&a0), other.cpu_reference(&a0));
         }
     }
 }

@@ -126,19 +126,17 @@ pub struct ServeReport {
     pub devices_lost: usize,
     /// Circuit-breaker openings summed across devices.
     pub breaker_trips: u64,
-    /// Preempted or recovered jobs compared bit for bit against an
-    /// uninterrupted reference run.
+    /// Preempted or recovered jobs compared bit for bit against their
+    /// CPU reference ([`crate::JobShape::cpu_reference`]).
     pub verified: u64,
     /// How many of those verified bit-identical.
     pub verified_ok: u64,
-    /// Uninterrupted reference runs executed for verification. Jobs
-    /// sharing a data key, model and schedule share one run, so this is
-    /// at most [`ServeReport::verified`].
+    /// Oracle evaluations executed for verification. Jobs sharing a
+    /// data key share one evaluation, whatever their exec model and
+    /// schedule, so this is at most [`ServeReport::verified`].
     pub verify_reference_runs: u64,
-    /// Seeded input fills executed, for dispatch and reference runs
-    /// alike. Jobs sharing a data key copy one fill's bits, so every
-    /// distinct unsalted key counts once and every salted job once per
-    /// setup.
+    /// Seeded input fills executed. Jobs sharing a data key, and the
+    /// oracle, copy one fill's bits, so every distinct key counts once.
     pub input_fills: u64,
     /// Jain fairness index over per-tenant `service/weight`.
     pub fairness: f64,

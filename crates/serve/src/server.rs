@@ -34,36 +34,30 @@
 //! # Verification
 //!
 //! Every job that was preempted *or* touched by a failure must match,
-//! bit for bit, the output of an uninterrupted run on a fresh context.
-//! Conv3d, stencil and QCD jobs fill their inputs from fixed canonical
-//! seeds, so a stream holds few distinct references: each `serve` call
-//! memoizes them by data identity (`JobShape::data_key`), exec model
-//! and schedule, runs each one once, and compares every later job with
-//! the same key against the stored bits. Salted GEMM jobs have inputs
-//! of their own and are re-run every time.
-//! [`ServeReport::verify_reference_runs`] counts the uninterrupted runs
-//! actually executed.
+//! bit for bit, the app's scalar CPU reference
+//! ([`JobShape::cpu_reference`]) on the job's seeded inputs. The oracle
+//! shares no code with the planner, executor or kernel bodies it
+//! checks, and no exec model or schedule moves its output, so each
+//! `serve` call evaluates it once per data identity
+//! (`JobShape::data_key`). [`ServeReport::verify_reference_runs`]
+//! counts the evaluations.
 //!
-//! The same data identity keys a per-call input cache. The first job
-//! with a key — dispatched or run as a reference — fills its inputs
-//! from the seeds, and the cache keeps its own copy of every buffer
-//! but the output; every later job with that key binds its buffers and
-//! copies the stored bits in. Host writes cost no simulated time, so a
-//! copied job is bit-identical to a seeded one in both data and
-//! timing, and a job that writes into its own inputs cannot change what
-//! later jobs or references read. Salted GEMM keys never recur and skip
-//! the cache. [`ServeReport::input_fills`] counts the seeded fills
-//! actually run.
+//! The same key keeps a per-call input cache. The first job with a key
+//! fills its inputs from the seeds and the cache keeps its own copy of
+//! every buffer but the output; later jobs with the key bind their
+//! buffers and copy the bits in, at no simulated time, so a copied job
+//! is bit-identical to a seeded one and a job writing into its own
+//! inputs cannot change what later jobs or the oracle read. Salted GEMM
+//! keys never recur, so their entries go when the job retires.
+//! [`ServeReport::input_fills`] counts the seeded fills.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
-use gpsim::{DeviceProfile, ExecMode, Gpu, HostBufId, SimError, SimTime};
+use gpsim::{Gpu, HostBufId, SimError, SimTime};
 use pipeline_apps::util::read_host;
 use pipeline_rt::{
-    run_model, CostModel, ExecModel, KernelBuilder, Region, ResumableRun, RtError, RtResult,
-    RunOptions,
+    CostModel, ExecModel, KernelBuilder, Region, ResumableRun, RtError, RtResult, RunOptions,
 };
 
 use crate::admission::{RateLimit, Rejection, RejectionCounts, TokenBucket};
@@ -79,10 +73,9 @@ pub struct ServeOptions {
     /// Target device time per slice; jobs predicted to run longer are
     /// preempted at the nearest iteration boundary and requeued.
     pub quantum: SimTime,
-    /// Require every preempted or failure-touched job to match an
-    /// uninterrupted run on a fresh context bit for bit (the server's
-    /// self-check; references are memoized per call — see the module
-    /// docs).
+    /// Require every preempted or failure-touched job to match the
+    /// app's scalar CPU reference bit for bit (the server's self-check;
+    /// oracle outputs are memoized per call — see the module docs).
     pub verify_preempted: bool,
     /// Within-tenant queue order (EDF by default; FIFO is the PR 9
     /// baseline the chaos harness compares against).
@@ -369,7 +362,6 @@ pub fn serve(
     let mut devices_lost = 0usize;
     let mut verified = 0u64;
     let mut verified_ok = 0u64;
-    let mut references = References::default();
     let mut inputs = Inputs::default();
     let mut peak_live_bufs = fleet.pool.live_bufs();
     let mut peak_live_bytes = fleet.pool.live_bytes();
@@ -660,14 +652,15 @@ pub fn serve(
             }
             if (job.slices > 1 || state.hit_failure) && opts.verify_preempted {
                 verified += 1;
-                let served_on = &fleet.gpus[best_d];
-                if verify_clean(spec, served_on, &act.inst, &mut references, &mut inputs)? {
+                let got = read_host(&fleet.gpus[best_d], act.inst.output)?;
+                if same_bits(&got, inputs.reference(spec)) {
                     verified_ok += 1;
                 }
             }
             for &b in &act.inst.buffers {
                 fleet.gpus[best_d].free_host(b)?;
             }
+            inputs.retire(spec);
             done += 1;
             if let Some(dependents) = deps.get(&spec.id) {
                 for &dep in dependents {
@@ -699,7 +692,7 @@ pub fn serve(
         breaker_trips: breakers.iter().map(|b| b.trips()).sum(),
         verified,
         verified_ok,
-        verify_reference_runs: references.runs,
+        verify_reference_runs: inputs.oracle_runs,
         input_fills: inputs.fills,
         fairness,
         makespan,
@@ -709,14 +702,17 @@ pub fn serve(
     })
 }
 
-/// Seeded input bits of one `serve` call, keyed by data identity (see
-/// the module docs): every buffer of the job but its output, in
-/// [`JobInstance::buffers`] order.
+/// Per-call seeded input bits (every buffer but the output, in
+/// [`JobInstance::buffers`] order) and the oracle outputs computed from
+/// them, both keyed by data identity alone (see the module docs).
 #[derive(Default)]
 struct Inputs {
     bits: HashMap<DataKey, Vec<Vec<f32>>>,
-    /// Seeded fills executed (cache misses plus salted jobs).
+    references: HashMap<DataKey, Vec<f32>>,
+    /// Seeded fills executed (one per data key set up).
     fills: u64,
+    /// Oracle evaluations executed (one per data key verified).
+    oracle_runs: u64,
 }
 
 impl Inputs {
@@ -735,75 +731,37 @@ impl Inputs {
         }
         self.fills += 1;
         let inst = spec.shape.setup(gpu, spec.id)?;
-        if !key.is_salted() {
-            let bits = input_buffers(&inst)
-                .map(|b| read_host(gpu, b))
-                .collect::<Result<_, _>>()?;
-            self.bits.insert(key, bits);
-        }
+        let bits = input_buffers(&inst)
+            .map(|b| read_host(gpu, b))
+            .collect::<Result<_, _>>()?;
+        self.bits.insert(key, bits);
         Ok(inst)
+    }
+
+    /// The oracle's output for `spec`'s seeded inputs, evaluated once
+    /// per data key. `spec` must be set up here and not yet retired.
+    fn reference(&mut self, spec: &JobSpec) -> &[f32] {
+        let key = spec.shape.data_key(spec.id);
+        let inputs = &self.bits[&key];
+        self.references.entry(key).or_insert_with(|| {
+            self.oracle_runs += 1;
+            spec.shape.cpu_reference(inputs)
+        })
+    }
+
+    /// Forget a retired job's entries when its data key can never recur.
+    fn retire(&mut self, spec: &JobSpec) {
+        let key = spec.shape.data_key(spec.id);
+        if key.is_salted() {
+            self.bits.remove(&key);
+            self.references.remove(&key);
+        }
     }
 }
 
 /// Every buffer of `inst` except its output.
 fn input_buffers(inst: &JobInstance) -> impl Iterator<Item = HostBufId> + '_ {
     inst.buffers.iter().copied().filter(|&b| b != inst.output)
-}
-
-/// Uninterrupted-run outputs of one `serve` call, keyed by data
-/// identity, effective exec model and `(chunk, streams)` — everything
-/// that decides the reference's output bits.
-#[derive(Default)]
-struct References {
-    outputs: HashMap<(DataKey, ExecModel, (usize, usize)), Vec<f32>>,
-    /// Uninterrupted reference runs executed (cache misses plus salted
-    /// jobs).
-    runs: u64,
-}
-
-/// Check a finished (preempted or failure-touched) job against an
-/// uninterrupted run of the same deterministic setup on a fresh
-/// context, bit for bit. The reference comes from `refs` when a job
-/// with the same data key, model and schedule was already verified in
-/// this call; otherwise it is run now and stored, unless the job is
-/// salted and its key can never recur. The degradation ladder is
-/// bit-stable, so the job's requested model is the reference even if
-/// some slices ran degraded.
-fn verify_clean(
-    spec: &JobSpec,
-    served_on: &Gpu,
-    inst: &JobInstance,
-    refs: &mut References,
-    inputs: &mut Inputs,
-) -> RtResult<bool> {
-    let got = read_host(served_on, inst.output)?;
-    let model = effective(spec.model);
-    let data = spec.shape.data_key(spec.id);
-    if data.is_salted() {
-        refs.runs += 1;
-        return Ok(same_bits(&got, &reference_run(spec, model, inputs)?));
-    }
-    let key = (data, model, spec.shape.schedule());
-    let want = match refs.outputs.entry(key) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(slot) => {
-            refs.runs += 1;
-            slot.insert(reference_run(spec, model, inputs)?)
-        }
-    };
-    Ok(same_bits(&got, want))
-}
-
-/// Run `spec` uninterrupted under `model` on a fresh K40m context, its
-/// inputs set up through `inputs`, and return its output. The
-/// context's timeline is off: nothing reads it, and output bits do not
-/// depend on it.
-fn reference_run(spec: &JobSpec, model: ExecModel, inputs: &mut Inputs) -> RtResult<Vec<f32>> {
-    let mut fresh = Gpu::new(DeviceProfile::k40m(), ExecMode::Functional)?;
-    fresh.set_timeline_enabled(false);
-    let inst = inputs.setup(&mut fresh, spec)?;
-    run_model(&mut fresh, &inst.region, &*inst.builder, model, &RunOptions::default())?;
-    Ok(read_host(&fresh, inst.output)?)
 }
 
 /// Whether two outputs have the same length and the same bits in every
@@ -890,20 +848,41 @@ mod tests {
 
     #[test]
     fn the_cache_keeps_its_own_copy_of_the_inputs() {
+        // Two GEMM jobs of one shape, whose salts (their ids) differ.
+        let gemm = WorkloadConfig::new(0x1A9F, 100, 1)
+            .generate()
+            .into_iter()
+            .find(|j| j.shape.data_key(j.id).is_salted())
+            .unwrap();
+        let mut pairs = generated_pairs();
+        pairs.push((gemm.clone(), JobSpec { id: 1 << 20, ..gemm }));
         let mut inputs = Inputs::default();
-        for (a, b) in generated_pairs() {
+        for (a, b) in &pairs {
             let mut gpu = k40m();
             // Both the job that filled the cache and one that copied
-            // from it scribble over their inputs, as a kernel writing
-            // in place would.
-            for job in [&a, &b] {
+            // from it (a salted pair shares nothing) scribble over their
+            // inputs, as a kernel writing in place would; the oracle and
+            // a later job must still see the seeded bits.
+            for job in [a, b] {
                 let inst = inputs.setup(&mut gpu, job).unwrap();
                 for buf in input_buffers(&inst) {
                     let len = gpu.host_len(buf).unwrap();
                     gpu.host_write(buf, 0, &vec![f32::NAN; len]).unwrap();
                 }
+                let mut fresh = k40m();
+                let seeded = job.shape.setup(&mut fresh, job.id).unwrap();
+                let seeded: Vec<_> = input_buffers(&seeded)
+                    .map(|b| read_host(&fresh, b).unwrap())
+                    .collect();
+                let want = job.shape.cpu_reference(&seeded);
+                assert!(
+                    same_bits(inputs.reference(job), &want),
+                    "{} job {}: the oracle missed the job's seeded inputs",
+                    job.shape.name(),
+                    job.id
+                );
             }
-            let again = inputs.setup(&mut gpu, &b).unwrap();
+            let again = inputs.setup(&mut gpu, b).unwrap();
             let mut fresh = k40m();
             let want = b.shape.setup(&mut fresh, b.id).unwrap();
             assert_eq!(
@@ -912,7 +891,19 @@ mod tests {
                 "{}: a served job's writes reached the cache",
                 b.shape.name()
             );
+            inputs.retire(a);
+            inputs.retire(b);
         }
+        // One evaluation per unsalted key and per salted job.
+        assert_eq!(inputs.oracle_runs, 9 + 2);
+        let (a, b) = pairs.last().unwrap();
+        for key in [a, b].map(|j| j.shape.data_key(j.id)) {
+            assert!(
+                !inputs.bits.contains_key(&key) && !inputs.references.contains_key(&key),
+                "a retired salted job left its entry behind"
+            );
+        }
+        assert_eq!(inputs.bits.len(), 9, "an unsalted key lost its inputs");
     }
 
     #[test]

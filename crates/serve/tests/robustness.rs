@@ -28,7 +28,7 @@ fn check_conservation(report: &pipeline_serve::ServeReport) {
     );
     assert_eq!(
         report.verified_ok, report.verified,
-        "a preempted/recovered job diverged from its uninterrupted reference"
+        "a preempted/recovered job diverged from its CPU reference"
     );
 }
 

@@ -37,7 +37,7 @@ fn stream_drains_and_preempted_jobs_verify() {
     assert!(report.total_slices > report.done, "no slicing happened");
     assert_eq!(
         report.verified_ok, report.verified,
-        "a preempted job diverged from its uninterrupted reference"
+        "a preempted job diverged from its CPU reference"
     );
     assert!(report.verified >= report.preempted.min(1));
     assert!(report.verify_reference_runs <= report.verified);
@@ -55,32 +55,38 @@ fn stream_drains_and_preempted_jobs_verify() {
 
 #[test]
 fn jobs_sharing_a_data_key_share_one_reference_run() {
-    // Two conv3d jobs with the same data key, model and schedule, and
-    // two same-shape GEMM jobs whose salts (their ids) differ; a tiny
-    // quantum preempts all four.
+    // Two conv3d jobs with the same data key but different schedules
+    // and exec models, and two same-shape GEMM jobs whose salts (their
+    // ids) differ; a tiny quantum preempts all four.
     let mut conv = Conv3dConfig::test_small();
     conv.nk = 18;
+    conv.chunk = 2;
+    let other_conv = Conv3dConfig { chunk: 3, ..conv };
     let gemm = JobShape::Gemm(GemmConfig {
         n: 32,
         bs: 4,
         chunk: 1,
         streams: 2,
     });
-    let shapes = [JobShape::Conv3d(conv), JobShape::Conv3d(conv), gemm, gemm];
-    let jobs: Vec<JobSpec> = shapes
-        .into_iter()
-        .enumerate()
-        .map(|(i, shape)| JobSpec {
-            id: i as u64,
-            tenant: 0,
-            shape,
-            model: ExecModel::PipelinedBuffer,
-            priority: 0,
-            arrival: SimTime::from_us(i as u64),
-            deadline: None,
-            after: None,
-        })
-        .collect();
+    let jobs: Vec<JobSpec> = [
+        (JobShape::Conv3d(conv), ExecModel::Pipelined),
+        (JobShape::Conv3d(other_conv), ExecModel::PipelinedBuffer),
+        (gemm, ExecModel::PipelinedBuffer),
+        (gemm, ExecModel::PipelinedBuffer),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (shape, model))| JobSpec {
+        id: i as u64,
+        tenant: 0,
+        shape,
+        model,
+        priority: 0,
+        arrival: SimTime::from_us(i as u64),
+        deadline: None,
+        after: None,
+    })
+    .collect();
     let mut fleet = Fleet::build(2).unwrap();
     fleet.calibrate().unwrap();
     let opts = ServeOptions::new().with_quantum(SimTime::from_us(5));
@@ -91,12 +97,13 @@ fn jobs_sharing_a_data_key_share_one_reference_run() {
     assert_eq!(report.verified_ok, 4);
     assert_eq!(
         report.verify_reference_runs, 3,
-        "one run for both conv3d jobs, one per salted GEMM job"
+        "one oracle evaluation for both conv3d jobs, whatever their model \
+         and schedule, and one per salted GEMM job"
     );
     assert_eq!(
-        report.input_fills, 5,
-        "one fill for both conv3d jobs and their reference, \
-         two per salted GEMM job (its dispatch and its reference)"
+        report.input_fills, 3,
+        "one fill for both conv3d jobs, one per salted GEMM job; the \
+         oracle reads the cached bits"
     );
 }
 

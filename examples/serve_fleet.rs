@@ -4,7 +4,7 @@
 //! mixed jobs (conv3d / stencil / GEMM / QCD) to four simulated devices.
 //! Long jobs are preempted at chunk boundaries and resumed — possibly
 //! on a different device — via the checkpoint/restore path; every
-//! preempted job is re-executed uninterrupted and checked bit-identical.
+//! preempted job is checked bit-identical against the app's CPU reference.
 //!
 //! Run with: `cargo run --example serve_fleet`
 
