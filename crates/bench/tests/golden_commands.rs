@@ -66,7 +66,7 @@ fn run_line(gpu: &Gpu, result: RtResult<RunReport>) -> String {
     };
     let mut tl = Fnv::new();
     for e in gpu.timeline() {
-        tl.str(&e.label);
+        tl.str(&e.label.text());
         tl.str(&format!("{:?}", e.kind));
         tl.u64(e.stream as u64);
         tl.u64(e.start_ns);
@@ -76,7 +76,7 @@ fn run_line(gpu: &Gpu, result: RtResult<RunReport>) -> String {
     }
     let mut hs = Fnv::new();
     for s in gpu.host_spans() {
-        hs.str(&s.label);
+        hs.str(&s.label.text());
         hs.str(&format!("{:?}", s.kind));
         hs.u64(s.start_ns);
         hs.u64(s.end_ns);

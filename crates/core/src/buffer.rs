@@ -39,7 +39,7 @@
 //! [`RunOptions::with_compiled`](crate::RunOptions::with_compiled),
 //! taking per-run planning out of the host hot path.
 
-use gpsim::{DeviceProfile, Gpu, SimTime, WaitCause};
+use gpsim::{DeviceProfile, Gpu, Label, SimTime, WaitCause};
 
 use crate::error::RtResult;
 use crate::exec::{KernelBuilder, Region};
@@ -626,19 +626,19 @@ fn assemble(
     let (plan_label, poll) = match key.model {
         ExecModel::Naive => (None, SimTime::ZERO),
         ExecModel::Pipelined => (
-            Some(format!(
+            Some(Label::from(format!(
                 "plan(chunk={}, streams={})",
                 plan.chunk_size, plan.num_streams
-            )),
+            ))),
             poll_time(key.profile.api_overhead, plan.num_streams),
         ),
         _ => (
-            Some(format!(
+            Some(Label::from(format!(
                 "plan(chunks={}, streams={}, slots={:?})",
                 plan.chunks.len(),
                 plan.num_streams,
                 plan.ring_slots
-            )),
+            ))),
             SimTime::ZERO,
         ),
     };

@@ -16,7 +16,7 @@
 
 use std::ops::Range;
 
-use gpsim::{DeviceProfile, SimTime, WaitCause, ELEM_BYTES, PITCH_ALIGN_ELEMS};
+use gpsim::{DeviceProfile, Label, SimTime, WaitCause, ELEM_BYTES, PITCH_ALIGN_ELEMS};
 
 use crate::buffer::BufferOptions;
 use crate::error::{RtError, RtResult};
@@ -444,8 +444,9 @@ pub struct CompiledPlan {
     /// Host time charged after every enqueue (the per-queue polling of an
     /// OpenACC-style async runtime; zero for direct CUDA streams).
     pub poll: SimTime,
-    /// The `plan(...)` trace label, if the model emits one.
-    pub plan_label: Option<String>,
+    /// The `plan(...)` trace label, if the model emits one: shared text,
+    /// so each run's `Plan` span clones a reference, not a string.
+    pub plan_label: Option<Label>,
     pub(crate) key: PlanKey,
 }
 

@@ -252,7 +252,7 @@ fn survivor_trace_carries_migration_spans_and_alive_counter() {
         multi.traces[1]
             .host_spans
             .iter()
-            .any(|s| s.label.contains("migrate[")),
+            .any(|s| s.label.text().contains("migrate[")),
         "survivor host spans miss the migrate marker"
     );
 }

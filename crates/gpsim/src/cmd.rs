@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::counters::WaitCause;
 use crate::error::SimResult;
+use crate::label::{Label, LabelKey};
 use crate::mem::{AllocRead, AllocWrite, DevPtr, HostBufId, MemPool};
 
 /// Identifier of a stream (FIFO command queue). Stream 0 is the default
@@ -276,22 +277,21 @@ impl CmdKind {
         }
     }
 
-    /// Interned display label. Kernel names pass through verbatim; every
-    /// other variant resolves through the global symbol table, so repeat
-    /// occurrences cost a hash lookup instead of a `format!`.
-    pub fn label(&self) -> &'static str {
-        use crate::symbol::{intern, LabelKey};
-        match self {
-            CmdKind::H2D { elems, .. } => intern(LabelKey::H2d(*elems)),
-            CmdKind::D2H { elems, .. } => intern(LabelKey::D2h(*elems)),
-            CmdKind::H2D2D(c) => intern(LabelKey::H2d2d(c.rows, c.row_elems)),
-            CmdKind::D2H2D(c) => intern(LabelKey::D2h2d(c.rows, c.row_elems)),
-            CmdKind::Kernel(k) => k.name,
-            CmdKind::Memset { elems, .. } => intern(LabelKey::Memset(*elems)),
-            CmdKind::D2D { elems, .. } => intern(LabelKey::D2d(*elems)),
-            CmdKind::EventRecord(e) => intern(LabelKey::Record(e.0)),
-            CmdKind::EventWait(e, _) => intern(LabelKey::Wait(e.0)),
-        }
+    /// Display label: the kernel name, or the command's numeric key,
+    /// rendered only when the label is displayed or exported.
+    pub fn label(&self) -> Label {
+        let key = match self {
+            CmdKind::Kernel(k) => return Label::Static(k.name),
+            CmdKind::H2D { elems, .. } => LabelKey::H2d(*elems),
+            CmdKind::D2H { elems, .. } => LabelKey::D2h(*elems),
+            CmdKind::H2D2D(c) => LabelKey::H2d2d(c.rows, c.row_elems),
+            CmdKind::D2H2D(c) => LabelKey::D2h2d(c.rows, c.row_elems),
+            CmdKind::Memset { elems, .. } => LabelKey::Memset(*elems),
+            CmdKind::D2D { elems, .. } => LabelKey::D2d(*elems),
+            CmdKind::EventRecord(e) => LabelKey::Record(e.0),
+            CmdKind::EventWait(e, _) => LabelKey::Wait(e.0),
+        };
+        Label::Key(key)
     }
 }
 

@@ -6,10 +6,8 @@
 //! the test suite to assert overlap actually happened (busy time exceeding
 //! the makespan is only possible with concurrency).
 
-
-use std::borrow::Cow;
-
 use crate::cmd::EngineKind;
+use crate::label::Label;
 use crate::time::SimTime;
 
 /// Aggregated activity counters for a simulation context.
@@ -91,10 +89,9 @@ impl TimelineKind {
 /// One completed engine command on the device timeline.
 #[derive(Debug, Clone)]
 pub struct TimelineEntry {
-    /// Display label (`h2d[4096]`, kernel name, ...). Simulator-produced
-    /// labels are interned `&'static str`s borrowed at zero cost; owned
-    /// strings remain possible for synthetic entries.
-    pub label: Cow<'static, str>,
+    /// Display label (`h2d[4096]`, kernel name, ...): the command's
+    /// numeric key or its kernel name, rendered only when displayed.
+    pub label: Label,
     /// Entry class.
     pub kind: TimelineKind,
     /// Stream index the command ran on.
@@ -163,10 +160,10 @@ impl HostSpanKind {
 /// One host-side runtime span on the host-clock timeline.
 #[derive(Debug, Clone)]
 pub struct HostSpan {
-    /// Display label (command label, `"synchronize"`, ...). Usually an
-    /// interned or literal `&'static str`; owned only for bespoke
-    /// runtime spans built with `format!`.
-    pub label: Cow<'static, str>,
+    /// Display label (command label, `"synchronize"`, ...). A numeric
+    /// key or static text; shared text only for bespoke runtime spans
+    /// built with `format!` and for imported traces.
+    pub label: Label,
     /// Span class.
     pub kind: HostSpanKind,
     /// Start instant on the host clock (ns since context creation).

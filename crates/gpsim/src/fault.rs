@@ -16,6 +16,7 @@
 
 use crate::cmd::EngineKind;
 use crate::error::SimError;
+use crate::label::Label;
 use crate::time::SimTime;
 use std::fmt;
 
@@ -258,8 +259,8 @@ pub struct FailureRecord {
     pub stream: usize,
     /// Engine that executed it.
     pub engine: EngineKind,
-    /// Command label (e.g. `h2d[65536]`), interned by the simulator.
-    pub label: std::borrow::Cow<'static, str>,
+    /// Command label (e.g. `h2d[65536]`).
+    pub label: Label,
     /// Completion time of the failing command.
     pub end: SimTime,
     /// The error the command surfaced.

@@ -58,12 +58,12 @@ mod counters;
 mod error;
 mod fault;
 pub mod json;
+mod label;
 mod mem;
 mod profile;
 pub mod race;
 mod sim;
 mod stall;
-mod symbol;
 mod time;
 mod trace;
 
@@ -76,6 +76,7 @@ pub use counters::{
 };
 pub use error::{SimError, SimResult};
 pub use fault::{FailureRecord, FaultPlan, FaultStage, LossTrigger};
+pub use label::{Label, LabelKey};
 pub use mem::{
     AllocRead, AllocWrite, DevAllocId, DevPtr, ExecMode, HostBufId, HostPool, ELEM_BYTES,
     PITCH_ALIGN_ELEMS,

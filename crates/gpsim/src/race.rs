@@ -24,6 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::label::Label;
 use crate::time::SimTime;
 
 /// A (possibly strided) range of device elements inside one allocation.
@@ -160,9 +161,9 @@ pub struct RaceConflict {
     /// Conflict classification.
     pub kind: ConflictKind,
     /// Label of the record being inserted.
-    pub label_new: String,
+    pub label_new: Label,
     /// Label of the stored record it conflicts with.
-    pub label_old: String,
+    pub label_old: Label,
     /// The inserted record's conflicting range.
     pub range_new: AccessRange,
     /// The stored record's conflicting range.
@@ -172,7 +173,7 @@ pub struct RaceConflict {
 /// Declared access ranges of one completed command.
 #[derive(Debug, Clone)]
 struct Record {
-    label: String,
+    label: Label,
     start: SimTime,
     end: SimTime,
     reads: Vec<AccessRange>,
@@ -301,7 +302,7 @@ impl RaceLog {
     #[allow(clippy::result_large_err)]
     pub fn check_insert(
         &mut self,
-        label: String,
+        label: Label,
         start: SimTime,
         end: SimTime,
         reads: Vec<AccessRange>,
@@ -417,7 +418,7 @@ impl NaiveRaceLog {
     #[allow(clippy::result_large_err)]
     pub fn check_insert(
         &mut self,
-        label: String,
+        label: Label,
         start: SimTime,
         end: SimTime,
         reads: Vec<AccessRange>,
@@ -568,7 +569,7 @@ mod tests {
         let mut log = RaceLog::new();
         for i in 0..100u64 {
             log.check_insert(
-                format!("w{i}"),
+                format!("w{i}").into(),
                 t(i * 10),
                 t(i * 10 + 10),
                 vec![],

@@ -50,6 +50,7 @@ use crate::counters::{
 };
 use crate::error::{SimError, SimResult};
 use crate::fault::{FailureRecord, FaultPlan, FaultStage, FaultState};
+use crate::label::{Label, LabelKey};
 use crate::mem::{DevAllocId, DevPtr, ExecMode, HostBufId, HostPool, MemPool, ELEM_BYTES};
 use crate::profile::DeviceProfile;
 use crate::race::{AccessRange, ConflictKind, RaceLog};
@@ -416,7 +417,7 @@ impl Gpu {
     /// does not advance the host clock or charge any counter.
     pub fn push_host_span(
         &mut self,
-        label: impl Into<std::borrow::Cow<'static, str>>,
+        label: impl Into<Label>,
         kind: HostSpanKind,
         start: SimTime,
         end: SimTime,
@@ -612,7 +613,7 @@ impl Gpu {
                 seq,
                 stream: self.arena.stream[idx] as usize,
                 engine,
-                label: kind.label().into(),
+                label: kind.label(),
                 end: at,
                 error: SimError::DeviceLost,
             });
@@ -627,7 +628,7 @@ impl Gpu {
                 seq,
                 stream: si as usize,
                 engine,
-                label: kind.label().into(),
+                label: kind.label(),
                 end: at,
                 error: SimError::DeviceLost,
             });
@@ -645,7 +646,7 @@ impl Gpu {
                         seq,
                         stream: si,
                         engine,
-                        label: kind.label().into(),
+                        label: kind.label(),
                         end: at,
                         error: SimError::DeviceLost,
                     });
@@ -1150,7 +1151,7 @@ impl Gpu {
         self.maybe_reset_arena();
         if self.timeline_enabled {
             self.host_spans.push(HostSpan {
-                label: crate::symbol::intern(crate::symbol::LabelKey::SyncStream(stream.0)).into(),
+                label: Label::Key(LabelKey::SyncStream(stream.0)),
                 kind: HostSpanKind::Sync,
                 start_ns: t0.as_ns(),
                 end_ns: self.now_host.as_ns(),
@@ -1198,7 +1199,7 @@ impl Gpu {
         let seq = self.seq;
         if self.timeline_enabled {
             self.host_spans.push(HostSpan {
-                label: kind.label().into(),
+                label: kind.label(),
                 kind: HostSpanKind::Enqueue,
                 start_ns: t0.as_ns(),
                 end_ns: self.now_host.as_ns(),
@@ -1490,7 +1491,7 @@ impl Gpu {
         let exec = self.execute_payload(&mut kind, dur, functional);
         if self.timeline_enabled {
             self.timeline.push(TimelineEntry {
-                label: kind.label().into(),
+                label: kind.label(),
                 kind: TimelineKind::from_engine(engine),
                 stream: stream.0 as usize,
                 start_ns: start.as_ns(),
@@ -1512,7 +1513,7 @@ impl Gpu {
                 seq,
                 stream: stream.0 as usize,
                 engine,
-                label: kind.label().into(),
+                label: kind.label(),
                 end,
                 error: e.clone(),
             });
@@ -1747,7 +1748,7 @@ impl Gpu {
             _ => {}
         }
         self.access_log
-            .check_insert(kind.label().to_string(), start, end, reads, writes)
+            .check_insert(kind.label(), start, end, reads, writes)
             .map_err(|c| {
                 SimError::DataRace(match c.kind {
                     ConflictKind::WriteWrite => format!(
@@ -1855,7 +1856,7 @@ impl Gpu {
                                 .as_ref()
                                 .expect("queued command has a payload")
                         });
-                        let label = head.map(|k| k.label()).unwrap_or_default();
+                        let label = head.map(|k| k.label().to_string()).unwrap_or_default();
                         let detail = match head {
                             Some(CmdKind::EventWait(e, _))
                                 if !self.events[e.0 as usize].enqueued =>

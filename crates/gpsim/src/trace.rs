@@ -238,14 +238,14 @@ pub fn to_perfetto_trace(
             events.push(format!(
                 "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {ts:.3}, \
                  \"dur\": {dur:.3}, \"pid\": 0, \"tid\": 0{args}}}",
-                escape(&s.label),
+                escape(&s.label.text()),
                 s.kind.name(),
             ));
         } else {
             events.push(format!(
                 "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"i\", \"ts\": {ts:.3}, \
                  \"pid\": 0, \"tid\": 0, \"s\": \"t\"{args}}}",
-                escape(&s.label),
+                escape(&s.label.text()),
                 s.kind.name(),
             ));
         }
@@ -270,7 +270,7 @@ pub fn to_perfetto_trace(
             "  {{\"name\": \"{}\", \"cat\": \"{:?}\", \"ph\": \"X\", \"ts\": {ts:.3}, \
              \"dur\": {:.3}, \"pid\": 1, \"tid\": {}, \
              \"args\": {{\"stream\": {}, \"seq\": {}, \"enq\": {:.3}}}}}",
-            escape(&t.label),
+            escape(&t.label.text()),
             t.kind,
             (t.end_ns - t.start_ns) as f64 / 1e3,
             device_tid(t.kind),

@@ -4,7 +4,7 @@
 //! retirement of old records, which must never change an outcome.
 
 use gpsim::race::{AccessRange, NaiveRaceLog, RaceLog};
-use gpsim::SimTime;
+use gpsim::{Label, SimTime};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -51,7 +51,7 @@ proptest! {
             now += adv;
             let start = SimTime::from_ns(now);
             let end = SimTime::from_ns(now + dur);
-            let label = format!("cmd{i}");
+            let label = Label::from(format!("cmd{i}"));
             let r = build_ranges(reads);
             let w = build_ranges(writes);
             let got = fast.check_insert(label.clone(), start, end, r.clone(), w.clone());

@@ -33,14 +33,14 @@ impl Pair {
         writes: Vec<AccessRange>,
     ) -> bool {
         let got = self.fast.check_insert(
-            label.to_string(),
+            label.to_string().into(),
             SimTime::from_ns(t0),
             SimTime::from_ns(t1),
             reads.clone(),
             writes.clone(),
         );
         let want = self.naive.check_insert(
-            label.to_string(),
+            label.to_string().into(),
             SimTime::from_ns(t0),
             SimTime::from_ns(t1),
             reads,
