@@ -18,6 +18,7 @@
 //! own directive syntax (via `pipeline-directive`), exercising the full
 //! front-to-back path a user of the proposed extension would take.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -420,7 +420,30 @@ fn su3_mv_dag_sub4(m: &[f32; 18], v: &Vec3x4, acc: &mut Vec3x4) {
 /// 4 temporal) are applied in the order of [`hopping_sweep_scalar`]'s
 /// links × μ loop nest, and each lane runs exactly its
 /// multiply/subtract/add sequence (no FMA), so results are bit-exact.
+///
+/// On an x86-64 host with AVX2 the same body is compiled for AVX2 and
+/// chosen at run time; elsewhere it runs for the build's baseline
+/// target. AVX2 does not enable FMA and Rust never contracts a
+/// multiply and an add, so both builds give the same bits.
 pub fn hopping_sweep(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        fn sweep_avx2(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
+            hopping_sweep_portable(n, s, out);
+        }
+        // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed
+        // that this CPU supports AVX2, the only feature `sweep_avx2`
+        // is compiled for.
+        unsafe { sweep_avx2(n, s, out) };
+        return;
+    }
+    hopping_sweep_portable(n, s, out);
+}
+
+/// The body of [`hopping_sweep`], inlined into each target build.
+#[inline(always)]
+fn hopping_sweep_portable(n: usize, s: &HopSlices<'_>, out: &mut [f32]) {
     let idx = |x: usize, y: usize, z: usize| (z * n + y) * n + x;
     // Periodic neighbours without an integer division per hop.
     let next = |i: usize| if i + 1 == n { 0 } else { i + 1 };
@@ -536,17 +559,23 @@ mod tests {
                 f_m: &f[..us],
                 f_0: &f[us..],
             };
-            let mut scalar = vec![0.0f32; ps];
-            let mut opt = vec![f32::NAN; ps];
-            hopping_sweep_scalar(n, &slices, &mut scalar);
-            hopping_sweep(n, &slices, &mut opt);
-            let (scalar, opt): (Vec<u32>, Vec<u32>) = (
-                scalar.iter().map(|x| x.to_bits()).collect(),
-                opt.iter().map(|x| x.to_bits()).collect(),
+            let bits = |sweep: fn(usize, &HopSlices<'_>, &mut [f32])| -> Vec<u32> {
+                let mut out = vec![f32::NAN; ps];
+                sweep(n, &slices, &mut out);
+                out.iter().map(|x| x.to_bits()).collect()
+            };
+            let scalar = bits(hopping_sweep_scalar);
+            // The portable body runs on every host; the dispatched
+            // sweep runs the AVX2 build where the CPU has it.
+            assert_eq!(
+                scalar,
+                bits(hopping_sweep_portable),
+                "portable lane-parallel sweep must be bit-exact at n = {n}"
             );
             assert_eq!(
-                scalar, opt,
-                "lane-parallel sweep must be bit-exact at n = {n}"
+                scalar,
+                bits(hopping_sweep),
+                "dispatched lane-parallel sweep must be bit-exact at n = {n}"
             );
         }
     }

@@ -6,6 +6,8 @@
 //! cargo run --release -p pipeline-bench --bin figures -- --csv out # + CSVs
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 

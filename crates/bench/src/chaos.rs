@@ -110,6 +110,8 @@ pub struct PolicyResult {
     /// The server's report.
     pub report: ServeReport,
     /// Host wall-clock of the serving run (excludes calibration).
+    /// Printed to the console only: `CHAOS_sim.json` holds simulated
+    /// results alone, so a fresh run reproduces it exactly.
     pub wall_ms: f64,
 }
 
@@ -343,11 +345,13 @@ pub fn print(results: &[ChaosResult]) {
     );
     for r in results {
         println!(
-            "\n{} — {} devices, {} jobs, gap {}",
+            "\n{} — {} devices, {} jobs, gap {}, wall {:.0} ms fifo / {:.0} ms hardened",
             r.cell.chaos.name(),
             r.cell.devices,
             r.cell.jobs,
-            r.cell.mean_gap
+            r.cell.mean_gap,
+            r.fifo.wall_ms,
+            r.hardened.wall_ms
         );
         println!(
             "  {:>14}  {:>5}  {:>9}  {:>6}  {:>6}  {:>5}  {:>5}  {:>8}  {:>8}  {:>8}  {:>6}",
@@ -388,7 +392,7 @@ fn policy_json(p: &PolicyResult) -> String {
          \"miss_rate\": {:.6}, \"fairness\": {:.6}, \"devices_lost\": {}, \
          \"failed_slices\": {}, \"recovered\": {}, \"degraded_slices\": {}, \
          \"breaker_trips\": {}, \"preempted\": {}, \"verified\": {}, \"verified_ok\": {}, \
-         \"makespan_ms\": {:.6}, \"wall_ms\": {:.3}}}",
+         \"makespan_ms\": {:.6}}}",
         p.policy,
         rep.submitted,
         rep.done,
@@ -406,7 +410,6 @@ fn policy_json(p: &PolicyResult) -> String {
         rep.verified,
         rep.verified_ok,
         rep.makespan.as_ms_f64(),
-        p.wall_ms,
     )
 }
 

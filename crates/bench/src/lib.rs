@@ -35,6 +35,7 @@
 //! [`serve`], which runs functional mode on purpose: its preemption
 //! cells re-execute every preempted job and compare output bits.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

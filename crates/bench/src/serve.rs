@@ -60,6 +60,8 @@ pub struct CellResult {
     /// The server's report.
     pub report: ServeReport,
     /// Host wall-clock of the serving run (excludes calibration).
+    /// Printed to the console only: `SERVE_sim.json` holds simulated
+    /// results alone, so a fresh run reproduces it exactly.
     pub wall_ms: f64,
 }
 
@@ -248,7 +250,7 @@ pub fn json(results: &[CellResult]) -> String {
              \"rejected_over_quota\": {}, \"rejected_infeasible\": {}, \
              \"rejected_overload\": {}, \"recovered\": {}, \"devices_lost\": {}, \
              \"preempted\": {}, \"total_slices\": {}, \"verified\": {}, \"verified_ok\": {}, \
-             \"fairness\": {:.6}, \"makespan_ms\": {:.6}, \"wall_ms\": {:.3}, \
+             \"fairness\": {:.6}, \"makespan_ms\": {:.6}, \
              \"peak_live_bufs\": {}, \"peak_live_bytes\": {},\n",
             r.cell.name,
             rep.devices,
@@ -265,7 +267,6 @@ pub fn json(results: &[CellResult]) -> String {
             rep.verified_ok,
             rep.fairness,
             rep.makespan.as_ms_f64(),
-            r.wall_ms,
             rep.peak_live_bufs,
             rep.peak_live_bytes,
         ));

@@ -1,21 +1,37 @@
-//! The committed `MODEL_sim.json` is the output of a full
-//! `figures model` run: it must equal, value for value, the document a
-//! fresh run of the fig4 + fig8 grids produces. A stale file (a cost-model
-//! or driver change without regenerating it) or a `--smoke` overwrite
+//! The committed simulation artifacts are the output of full `figures`
+//! runs and must equal, value for value, the documents fresh runs
+//! produce:
+//!
+//! * `MODEL_sim.json` — `figures model` (the fig4 + fig8 grids);
+//! * `SERVE_sim.json` — `figures serve` (every serving cell);
+//! * `CHAOS_sim.json` — `figures chaos` (every chaos cell).
+//!
+//! None of them holds a host wall-clock field, so any difference is a
+//! moved simulated number: a stale file (a cost-model, driver, scheduler
+//! or server change without regenerating it) or a `--smoke` overwrite
 //! fails here. Regenerate with
-//! `cargo run --release -p pipeline-bench --bin figures -- model`
+//! `cargo run --release -p pipeline-bench --bin figures -- model serve chaos`
 //! from the repository root.
 
-use pipeline_bench::model;
+use pipeline_bench::{chaos, model, serve};
 
 #[test]
-fn committed_model_artifact_matches_a_fresh_full_run() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../MODEL_sim.json");
-    let text = std::fs::read_to_string(path).expect("MODEL_sim.json is committed");
-    let committed = gpsim::json::parse(&text).expect("committed MODEL_sim.json parses");
-    let fresh = gpsim::json::parse(&model::json(&model::run(false))).expect("fresh JSON parses");
-    assert_eq!(
-        committed, fresh,
-        "MODEL_sim.json is stale; regenerate it with `figures model` (no --smoke)"
-    );
+fn committed_sim_artifacts_match_fresh_full_runs() {
+    let fresh = [
+        ("MODEL_sim.json", "model", model::json(&model::run(false))),
+        ("SERVE_sim.json", "serve", serve::json(&serve::run(false))),
+        ("CHAOS_sim.json", "chaos", chaos::json(&chaos::run(false))),
+    ];
+    for (file, figure, doc) in fresh {
+        let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file} is committed: {e}"));
+        let committed =
+            gpsim::json::parse(&text).unwrap_or_else(|e| panic!("committed {file} parses: {e}"));
+        let fresh = gpsim::json::parse(&doc).expect("fresh JSON parses");
+        assert_eq!(
+            committed, fresh,
+            "{file} is stale; regenerate it with `figures {figure}` (no --smoke)"
+        );
+    }
 }

@@ -89,6 +89,7 @@
 //! assert!(report.gpu_mem_bytes > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -73,8 +73,10 @@ pub struct RunReport {
     pub commands: u64,
     /// Where each engine's idle time within the makespan went (per
     /// engine, busy + stall buckets sum to the makespan exactly).
+    /// Empty when timeline recording is off.
     pub stalls: StallReport,
     /// Per-chunk latency histograms per pipeline stage.
+    /// Empty when timeline recording is off.
     pub stage_metrics: StageMetrics,
     /// Counter series for trace export (device memory footprint,
     /// in-flight chunks, ring-slot occupancy for the buffered model).

@@ -34,6 +34,7 @@
 //! this crate produces a [`pipeline_rt::RegionSpec`], and execution goes
 //! through the `pipeline_rt` drivers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -50,6 +50,7 @@
 //! assert_eq!(out, [0.0, 2.0, 4.0, 6.0]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

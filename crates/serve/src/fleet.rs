@@ -18,6 +18,12 @@ pub struct DeviceModel {
 
 /// A heterogeneous fleet sharing one functional-mode host pool, so a
 /// job preempted on one device can resume on any other.
+///
+/// Timeline recording is off on every context: serving reads no
+/// timeline, host span, stall attribution or stage histogram, and
+/// recording does not move simulated time. A caller that wants a trace
+/// turns it back on per device with
+/// `fleet.gpus[d].set_timeline_enabled(true)`.
 pub struct Fleet {
     /// The device contexts.
     pub gpus: Vec<Gpu>,
@@ -29,7 +35,8 @@ pub struct Fleet {
 
 impl Fleet {
     /// Build a fleet of `devices` contexts alternating K40m and P100
-    /// profiles on one shared functional-mode host pool.
+    /// profiles on one shared functional-mode host pool, with timeline
+    /// recording off.
     pub fn build(devices: usize) -> RtResult<Fleet> {
         let pool = HostPool::new(ExecMode::Functional);
         let mut gpus = Vec::with_capacity(devices);
@@ -40,7 +47,9 @@ impl Fleet {
             } else {
                 DeviceProfile::p100()
             };
-            gpus.push(Gpu::with_host_pool(profile.clone(), pool.clone())?);
+            let mut gpu = Gpu::with_host_pool(profile.clone(), pool.clone())?;
+            gpu.set_timeline_enabled(false);
+            gpus.push(gpu);
             models.push(DeviceModel {
                 profile,
                 calibration: Calibration::default(),

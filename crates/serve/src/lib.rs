@@ -27,6 +27,8 @@
 //! assumed) while the DES clocks still advance, giving meaningful
 //! queueing behavior.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod breaker;
 pub mod fleet;

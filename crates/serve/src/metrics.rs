@@ -2,7 +2,7 @@
 
 use crate::admission::RejectionCounts;
 use gpsim::SimTime;
-use pipeline_rt::{Histogram, StageMetrics};
+use pipeline_rt::Histogram;
 
 /// Jain's fairness index over per-tenant normalized service:
 /// `(Σx)² / (n·Σx²)`, 1.0 when every tenant's `service/weight` is
@@ -55,8 +55,6 @@ pub struct TenantStats {
     pub queue_wait: Histogram,
     /// Makespan: arrival → completion.
     pub makespan: Histogram,
-    /// Merged per-stage chunk latency distributions.
-    pub stages: StageMetrics,
 }
 
 impl TenantStats {
@@ -78,7 +76,6 @@ impl TenantStats {
             service: SimTime::ZERO,
             queue_wait: Histogram::default(),
             makespan: Histogram::default(),
-            stages: StageMetrics::default(),
         }
     }
 

@@ -636,7 +636,6 @@ pub fn serve(
             total_slices += job.slices as u64;
             st.makespan
                 .record(finish_rel.saturating_sub(state.released).as_ns());
-            st.stages.merge(&job.report.stage_metrics);
             if let Some(deadline) = state.abs_deadline {
                 if finish_rel > deadline {
                     st.deadline_misses += 1;

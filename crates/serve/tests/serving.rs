@@ -2,7 +2,7 @@
 //! bit-identical, fair sharing holds, memory is returned, and the whole
 //! simulation is deterministic.
 
-use gpsim::SimTime;
+use gpsim::{FaultPlan, SimTime};
 use pipeline_apps::Conv3dConfig;
 use pipeline_rt::ExecModel;
 use pipeline_serve::{
@@ -129,6 +129,65 @@ fn serving_is_deterministic() {
         assert_eq!(ta.service, tb.service);
         assert_eq!(ta.queue_wait, tb.queue_wait);
         assert_eq!(ta.makespan, tb.makespan);
+    }
+}
+
+#[test]
+fn timeline_recording_does_not_move_serving() {
+    // Fleet contexts record no timeline; a caller that turns recording
+    // back on must get the same report, clean and under faults.
+    const WATCHDOG: SimTime = SimTime::from_ms(1);
+    let tenants = tenants();
+    let jobs = WorkloadConfig::new(0x7E1E, 120, tenants.len()).generate();
+    for faulty in [false, true] {
+        let run = |record: bool| {
+            let mut fleet = Fleet::build(4).unwrap();
+            if record {
+                for gpu in &mut fleet.gpus {
+                    gpu.set_timeline_enabled(true);
+                }
+            }
+            fleet.calibrate().unwrap();
+            if faulty {
+                fleet.arm_fault_plan(
+                    1,
+                    FaultPlan::seeded(7).device_lost_after(SimTime::from_ms(2)),
+                    WATCHDOG,
+                );
+                fleet.arm_fault_plan(
+                    2,
+                    FaultPlan::seeded(21).hang_rate(0.002).spikes(0.02, 6.0),
+                    WATCHDOG,
+                );
+            }
+            let report = serve(&mut fleet, &tenants, &jobs, &ServeOptions::new()).unwrap();
+            (report, fleet)
+        };
+        let (quiet, quiet_fleet) = run(false);
+        let (recorded, recording_fleet) = run(true);
+        assert_eq!(
+            format!("{quiet:?}"),
+            format!("{recorded:?}"),
+            "recording changed the serving report (faults armed: {faulty})"
+        );
+        assert_eq!(quiet.devices_lost > 0, faulty, "the armed loss must fire");
+        for gpu in &quiet_fleet.gpus {
+            assert!(
+                gpu.timeline().is_empty(),
+                "a default fleet recorded commands"
+            );
+            assert!(
+                gpu.host_spans().is_empty(),
+                "a default fleet recorded host spans"
+            );
+        }
+        assert!(
+            recording_fleet
+                .gpus
+                .iter()
+                .any(|g| !g.timeline().is_empty()),
+            "the recording fleet recorded nothing"
+        );
     }
 }
 

@@ -32,6 +32,7 @@
 //! `crates/bench` for the harness that regenerates every figure of the
 //! paper's evaluation section.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use gpsim as sim;
