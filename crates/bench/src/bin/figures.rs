@@ -4,7 +4,13 @@
 //! cargo run --release -p pipeline-bench --bin figures              # all
 //! cargo run --release -p pipeline-bench --bin figures -- fig5      # one
 //! cargo run --release -p pipeline-bench --bin figures -- --csv out # + CSVs
+//! cargo run --release -p pipeline-bench --bin figures -- serve --smoke
 //! ```
+//!
+//! `model`, `calibrate`, `faults`, `failover`, `fleet`, `serve` and
+//! `chaos` write `<NAME>_sim.json` at the working directory (the
+//! committed artifacts, from full runs) or `<NAME>_smoke_sim.json` with
+//! `--smoke`.
 
 #![forbid(unsafe_code)]
 
@@ -49,6 +55,13 @@ fn main() {
             dir
         })
         .unwrap_or_else(|| PathBuf::from("traces"));
+    // A smoke tier goes to `<NAME>_smoke_sim.json`, so it never
+    // overwrites the committed full-tier `<NAME>_sim.json`.
+    let write_sim = |name: &str, json: String| {
+        let path = format!("{name}{}_sim.json", if smoke { "_smoke" } else { "" });
+        fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("wrote {path}");
+    };
     let write_csv = |name: &str, content: String| {
         if let Some(dir) = &csv_dir {
             let path = dir.join(name);
@@ -231,8 +244,7 @@ fn main() {
         let rep = model::run(smoke);
         model::print(&rep);
         write_csv("model.csv", model::csv(&rep));
-        fs::write("MODEL_sim.json", model::json(&rep)).expect("write MODEL_sim.json");
-        eprintln!("wrote MODEL_sim.json");
+        write_sim("MODEL", model::json(&rep));
         let med = rep.median_err();
         if med > model::MAX_MEDIAN_ERR {
             eprintln!(
@@ -251,8 +263,7 @@ fn main() {
         });
         let sweep = faults::run(smoke);
         faults::print(&sweep);
-        fs::write("FAULTS_sim.json", faults::json(&sweep)).expect("write FAULTS_sim.json");
-        eprintln!("wrote FAULTS_sim.json");
+        write_sim("FAULTS", faults::json(&sweep));
         fs::create_dir_all(&trace_dir).expect("create trace dir");
         let path = trace_dir.join("3dconv_buffer_faults.trace.json");
         fs::write(&path, &sweep.trace_json).expect("write faults trace");
@@ -280,9 +291,7 @@ fn main() {
         });
         let sweep = failover::run(smoke);
         failover::print(&sweep);
-        fs::write("FAILOVER_sim.json", failover::json(&sweep))
-            .expect("write FAILOVER_sim.json");
-        eprintln!("wrote FAILOVER_sim.json");
+        write_sim("FAILOVER", failover::json(&sweep));
         fs::create_dir_all(&trace_dir).expect("create trace dir");
         let path = trace_dir.join("3dconv_failover_survivor.trace.json");
         fs::write(&path, &sweep.trace_json).expect("write failover trace");
@@ -318,8 +327,7 @@ fn main() {
         });
         let tiers = fleet::run(smoke);
         fleet::print(&tiers);
-        fs::write("FLEET_sim.json", fleet::json(&tiers)).expect("write FLEET_sim.json");
-        eprintln!("wrote FLEET_sim.json");
+        write_sim("FLEET", fleet::json(&tiers));
         fs::create_dir_all(&trace_dir).expect("create trace dir");
         for t in &tiers {
             let path = trace_dir.join(format!(
@@ -377,8 +385,7 @@ fn main() {
             let rep = calibrate::run(smoke);
             calibrate::print(&rep);
             write_csv("calibrate.csv", calibrate::csv(&rep));
-            fs::write("CALIB_sim.json", calibrate::json(&rep)).expect("write CALIB_sim.json");
-            eprintln!("wrote CALIB_sim.json");
+            write_sim("CALIB", calibrate::json(&rep));
             if let Err(e) = calibrate::check(&rep) {
                 eprintln!("calibration gate: {e}");
                 std::process::exit(1);
@@ -393,8 +400,7 @@ fn main() {
         });
         let results = serve::run(smoke);
         serve::print(&results);
-        fs::write("SERVE_sim.json", serve::json(&results)).expect("write SERVE_sim.json");
-        eprintln!("wrote SERVE_sim.json");
+        write_sim("SERVE", serve::json(&results));
         let mut csv = String::from(
             "cell,tenant,weight,done,preempted,deadline_misses,wait_p50_ms,wait_p95_ms,makespan_p50_ms,makespan_p95_ms\n",
         );
@@ -429,8 +435,7 @@ fn main() {
         });
         let results = chaos::run(smoke);
         chaos::print(&results);
-        fs::write("CHAOS_sim.json", chaos::json(&results)).expect("write CHAOS_sim.json");
-        eprintln!("wrote CHAOS_sim.json");
+        write_sim("CHAOS", chaos::json(&results));
         let mut csv = String::from(
             "cell,policy,submitted,done,rejected,miss_rate,fairness,devices_lost,failed_slices,recovered,degraded_slices,breaker_trips,verified,verified_ok\n",
         );

@@ -47,8 +47,12 @@ pub struct FleetTier {
     /// Simulated fleet makespan.
     pub makespan: SimTime,
     /// Wall-clock time of the co-scheduled run (single host thread).
+    /// Console and CSV only, like `cmds_per_sec_core`: `FLEET_sim.json`
+    /// holds simulated results alone, so a fresh run reproduces it
+    /// exactly.
     pub wall_ms: f64,
-    /// Wall-clock DES throughput: `commands / wall seconds / cores`.
+    /// Wall-clock DES throughput: `commands / wall seconds / cores`,
+    /// judged against the floor by [`check_floor`].
     pub cmds_per_sec_core: f64,
     /// Minimum per-device utilization (bottleneck-engine busy time over
     /// the fleet makespan).
@@ -240,14 +244,12 @@ pub fn json(tiers: &[FleetTier]) -> String {
     for (i, t) in tiers.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"devices\": {}, \"nk\": {}, \"commands\": {}, \"makespan_ms\": {:.6}, \
-             \"wall_ms\": {:.3}, \"cmds_per_sec_core\": {:.1}, \"util_min\": {:.6}, \
-             \"util_p50\": {:.6}, \"util_max\": {:.6}, \"sampled_device\": {}}}{}\n",
+             \"util_min\": {:.6}, \"util_p50\": {:.6}, \"util_max\": {:.6}, \
+             \"sampled_device\": {}}}{}\n",
             t.devices,
             t.nk,
             t.commands,
             t.makespan.as_ms_f64(),
-            t.wall_ms,
-            t.cmds_per_sec_core,
             t.util_min,
             t.util_p50,
             t.util_max,

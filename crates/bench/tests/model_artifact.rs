@@ -4,16 +4,18 @@
 //!
 //! * `MODEL_sim.json` — `figures model` (the fig4 + fig8 grids);
 //! * `SERVE_sim.json` — `figures serve` (every serving cell);
-//! * `CHAOS_sim.json` — `figures chaos` (every chaos cell).
+//! * `CHAOS_sim.json` — `figures chaos` (every chaos cell);
+//! * `FLEET_sim.json` — `figures fleet` (the 64/256/1000-device tiers).
 //!
 //! None of them holds a host wall-clock field, so any difference is a
-//! moved simulated number: a stale file (a cost-model, driver, scheduler
-//! or server change without regenerating it) or a `--smoke` overwrite
-//! fails here. Regenerate with
-//! `cargo run --release -p pipeline-bench --bin figures -- model serve chaos`
+//! moved simulated number: a stale file (a cost-model, driver,
+//! scheduler, server or simulator change without regenerating it) fails
+//! here. A `--smoke` run writes `<NAME>_smoke_sim.json` instead and
+//! leaves these files alone. Regenerate with
+//! `cargo run --release -p pipeline-bench --bin figures -- model serve chaos fleet`
 //! from the repository root.
 
-use pipeline_bench::{chaos, model, serve};
+use pipeline_bench::{chaos, fleet, model, serve};
 
 #[test]
 fn committed_sim_artifacts_match_fresh_full_runs() {
@@ -21,6 +23,7 @@ fn committed_sim_artifacts_match_fresh_full_runs() {
         ("MODEL_sim.json", "model", model::json(&model::run(false))),
         ("SERVE_sim.json", "serve", serve::json(&serve::run(false))),
         ("CHAOS_sim.json", "chaos", chaos::json(&chaos::run(false))),
+        ("FLEET_sim.json", "fleet", fleet::json(&fleet::run(false))),
     ];
     for (file, figure, doc) in fresh {
         let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));

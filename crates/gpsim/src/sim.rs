@@ -42,6 +42,7 @@
 //! resolution walks a worklist of streams whose head is an event
 //! record/wait instead of rescanning every stream.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::cmd::{CmdKind, Copy2D, EngineKind, EventId, KernelCtx, KernelLaunch, StreamId};
@@ -115,6 +116,7 @@ const ENGINE_PSEUDO: u8 = u8::MAX;
 /// so sequence numbers stay directly addressable. When the device fully
 /// drains, the arena resets its base and reuses the buffers, so steady-
 /// state pipelines run allocation-free.
+#[derive(Default)]
 struct CmdArena {
     /// Sequence number of slot 0.
     base: u64,
@@ -133,18 +135,6 @@ struct CmdArena {
 }
 
 impl CmdArena {
-    fn new() -> Self {
-        CmdArena {
-            base: 0,
-            enq: Vec::new(),
-            start: Vec::new(),
-            end: Vec::new(),
-            stream: Vec::new(),
-            engine: Vec::new(),
-            payload: Vec::new(),
-        }
-    }
-
     #[inline]
     fn idx(&self, seq: u64) -> usize {
         debug_assert!(seq >= self.base, "seq below arena base");
@@ -172,6 +162,51 @@ impl CmdArena {
         self.stream.clear();
         self.engine.clear();
         self.payload.clear();
+    }
+}
+
+/// Per-command buffers a dropped context parks for the next context
+/// created on its thread (see "Buffer reuse" on [`Gpu`]). Every buffer is
+/// empty and the arena is based at 0: only capacity crosses.
+#[derive(Default)]
+struct Spare {
+    arena: CmdArena,
+    events: Vec<EventState>,
+    timeline: Vec<TimelineEntry>,
+    host_spans: Vec<HostSpan>,
+    wait_records: Vec<WaitRecord>,
+}
+
+thread_local! {
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+}
+
+impl Spare {
+    /// The thread's parked buffers, or fresh empty ones.
+    fn take() -> Spare {
+        SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Clear `gpu`'s buffers and park them in the thread's slot, replacing
+    /// whatever it held. During thread teardown the buffers are just freed.
+    fn park(gpu: &mut Gpu) {
+        let mut spare = Spare {
+            arena: std::mem::take(&mut gpu.arena),
+            events: std::mem::take(&mut gpu.events),
+            timeline: std::mem::take(&mut gpu.timeline),
+            host_spans: std::mem::take(&mut gpu.host_spans),
+            wait_records: std::mem::take(&mut gpu.wait_records),
+        };
+        spare.arena.reset(0);
+        spare.events.clear();
+        spare.timeline.clear();
+        spare.host_spans.clear();
+        spare.wait_records.clear();
+        let _ = SPARE.try_with(|slot| slot.set(Some(spare)));
     }
 }
 
@@ -224,6 +259,19 @@ pub struct HealthProbe {
 /// drain predicates and the dispatch overhead look only at that index —
 /// so a long-lived context that creates and destroys streams per job
 /// simulates each step as fast as a fresh one.
+///
+/// # Buffer reuse
+///
+/// Dropping a context clears its per-command buffers (the command arena,
+/// the event table, the timeline, the host spans and the wait records)
+/// and parks them in one spare slot per thread; the next context created
+/// on that thread starts from them instead of from empty buffers. Only
+/// capacity crosses, never an entry, so a context built after another
+/// was dropped simulates, records and fails exactly like one built on a
+/// fresh thread. The slot holds one context's buffers at a time (a later
+/// drop replaces them) and is freed with its thread. A harness that
+/// builds one context per cell thus stops first-touching fresh memory
+/// for every cell.
 pub struct Gpu {
     profile: DeviceProfile,
     pool: MemPool,
@@ -292,6 +340,12 @@ pub struct Gpu {
     last_retired_seq: Option<u64>,
 }
 
+impl Drop for Gpu {
+    fn drop(&mut self) {
+        Spare::park(self);
+    }
+}
+
 impl Gpu {
     /// Create a device context with the given performance profile and
     /// execution mode, with a private host pool. Charges the profile's
@@ -308,13 +362,20 @@ impl Gpu {
         let mode = hosts.mode();
         let mut pool = MemPool::new(mode, profile.mem_capacity, hosts);
         pool.reserve_overhead(profile.base_runtime_mem)?;
+        let Spare {
+            arena,
+            events,
+            timeline,
+            host_spans,
+            wait_records,
+        } = Spare::take();
         let mut gpu = Gpu {
             profile,
             pool,
             streams: Vec::new(),
             live: Vec::new(),
-            events: Vec::new(),
-            arena: CmdArena::new(),
+            events,
+            arena,
             inflight: [Vec::new(), Vec::new(), Vec::new()],
             engine_load: [0; 3],
             heads: [Vec::new(), Vec::new(), Vec::new()],
@@ -323,10 +384,10 @@ impl Gpu {
             now_host: SimTime::ZERO,
             seq: 0,
             counters: Counters::default(),
-            timeline: Vec::new(),
+            timeline,
             timeline_enabled: true,
-            host_spans: Vec::new(),
-            wait_records: Vec::new(),
+            host_spans,
+            wait_records,
             mem_samples: Vec::new(),
             race_check: false,
             access_log: RaceLog::new(),
