@@ -88,20 +88,30 @@ impl RingBook {
         }
     }
 
-    /// Ring slot of a slice.
-    fn slot(&self, sl: i64) -> usize {
-        sl.rem_euclid(self.slots as i64) as usize
-    }
-
-    /// The chunk that copied slice `sl` in, if `sl` is still resident.
-    fn resident_copier(&self, sl: i64) -> Option<usize> {
-        let slot = self.slot(sl);
+    /// The chunk that copied slice `sl` (at ring slot `slot`) in, if `sl`
+    /// is still resident.
+    fn resident_copier(&self, sl: i64, slot: usize) -> Option<usize> {
         if self.mapped[slot] == Some(sl) {
             self.copied_by[slot]
         } else {
             None
         }
     }
+}
+
+/// The slices `lo..hi` paired with their ring slots
+/// (`sl.rem_euclid(slots)`): one division for the window, then a
+/// wrap-around increment per slice.
+fn slice_slots(lo: i64, hi: i64, slots: usize) -> impl Iterator<Item = (i64, usize)> {
+    let mut slot = lo.rem_euclid(slots as i64) as usize;
+    (lo..hi).map(move |sl| {
+        let at = slot;
+        slot += 1;
+        if slot == slots {
+            slot = 0;
+        }
+        (sl, at)
+    })
 }
 
 /// Split the slice range `[lo, hi)` into ring-contiguous runs: a run ends
@@ -309,7 +319,7 @@ fn classify_chunks(
         ..Recipes::default()
     };
     let mut kernel_waits: Vec<StageWait> = Vec::new();
-    let mut missing: Vec<i64> = Vec::new();
+    let mut missing: Vec<(i64, usize)> = Vec::new();
     let mut runs_scratch: Vec<(i64, usize)> = Vec::new();
     for c in 0..n_chunks {
         let same_stream = |other: usize| chunk_stream[other] == chunk_stream[c];
@@ -324,8 +334,8 @@ fn classify_chunks(
             let (a, b) = table.ranges[i][c];
             let book = &mut books[i];
             missing.clear();
-            for sl in a..b {
-                match book.resident_copier(sl).filter(|_| track_residency) {
+            for (sl, slot) in slice_slots(a, b, book.slots) {
+                match book.resident_copier(sl, slot).filter(|_| track_residency) {
                     Some(owner) => {
                         // RAW across streams: wait for the copier's group.
                         if owner != c
@@ -339,13 +349,12 @@ fn classify_chunks(
                             out.dependents.push((owner, c));
                         }
                     }
-                    None => missing.push(sl),
+                    None => missing.push((sl, slot)),
                 }
             }
             // Evictions: overwriting a slot whose old slice may still be
             // in use by another stream's kernel (WAR) or pending D2H.
-            for &sl in &missing {
-                let slot = book.slot(sl);
+            for &(sl, slot) in &missing {
                 if book.mapped[slot].is_some() {
                     let rs = &mut book.readers[slot];
                     for &r in rs.iter() {
@@ -370,7 +379,7 @@ fn classify_chunks(
             // then split each run at ring-wrap boundaries.
             let mut run_start: Option<i64> = None;
             let mut prev = 0i64;
-            for &sl in &missing {
+            for &(sl, _) in &missing {
                 match run_start {
                     Some(_) if sl == prev + 1 => {}
                     Some(st) => {
@@ -390,8 +399,7 @@ fn classify_chunks(
             }
             // This chunk reads all its needed slices.
             if book.track_readers {
-                for sl in a..b {
-                    let slot = book.slot(sl);
+                for (sl, slot) in slice_slots(a, b, book.slots) {
                     debug_assert_eq!(book.mapped[slot], Some(sl));
                     book.readers[slot].push(c);
                 }
@@ -407,8 +415,7 @@ fn classify_chunks(
             }
             let (a, b) = table.ranges[i][c];
             let book = &mut books[i];
-            for sl in a..b {
-                let slot = book.slot(sl);
+            for (sl, slot) in slice_slots(a, b, book.slots) {
                 match book.mapped[slot] {
                     Some(old) if old != sl => {
                         let reuse = WaitCause::RingReuse;
@@ -438,8 +445,7 @@ fn classify_chunks(
             runs_scratch.clear();
             slot_runs_into(a, b, book.slots, &mut runs_scratch);
             runs.extend(runs_scratch.iter().map(|&(start, len)| (i, start, len)));
-            for sl in a..b {
-                let slot = book.slot(sl);
+            for (sl, slot) in slice_slots(a, b, book.slots) {
                 debug_assert_eq!(book.mapped[slot], Some(sl));
                 book.written_by[slot] = Some(c);
             }
@@ -787,6 +793,21 @@ mod tests {
         assert!(slot_runs(5, 5, 4).is_empty());
         // Exact revolutions.
         assert_eq!(slot_runs(0, 8, 4), vec![(0, 4), (4, 4)]);
+    }
+
+    #[test]
+    fn slice_slots_match_rem_euclid() {
+        // Empty, reversed, starting negative, and crossing several wraps.
+        let ranges = [(0, 0), (5, 5), (-3, -3), (4, 2), (-17, 3), (-1, 1), (0, 30), (6, 29)];
+        for slots in 1..=7usize {
+            for (lo, hi) in ranges {
+                let got: Vec<(i64, usize)> = slice_slots(lo, hi, slots).collect();
+                let want: Vec<(i64, usize)> = (lo..hi)
+                    .map(|sl| (sl, sl.rem_euclid(slots as i64) as usize))
+                    .collect();
+                assert_eq!(got, want, "slices {lo}..{hi}, {slots} slots");
+            }
+        }
     }
 
     #[test]

@@ -179,18 +179,31 @@ struct Walk {
     d2h: f64,
     kernel: f64,
     /// Busy intervals predicted for each copy engine *this* pass.
-    h2d_ivals: Vec<(f64, f64)>,
-    d2h_ivals: Vec<(f64, f64)>,
-    /// The previous fixed-point pass's schedule; when present, duplex
-    /// contention is judged against it (it knows the whole run, including
+    ivals: EngineIvals,
+    /// The previous fixed-point pass's schedule, valid once `has_prev`
+    /// is set (from the second pass on): duplex contention is then
+    /// judged against it (it knows the whole run, including
     /// opposite-engine work this pass hasn't walked yet).
-    prev: Option<EngineIvals>,
+    prev: EngineIvals,
+    has_prev: bool,
+    /// Per direction, how many of the previous pass's opposite-engine
+    /// intervals start at or before this pass's latest copy start.
+    cursor: Cursors,
 }
 
 /// Both copy engines' predicted busy intervals from one walk pass.
+#[derive(Default)]
 struct EngineIvals {
     h2d: Vec<(f64, f64)>,
     d2h: Vec<(f64, f64)>,
+}
+
+/// Monotone lookup positions into [`Walk::prev`]: `h2d` copies query
+/// the previous D2H intervals, `d2h` copies the previous H2D ones.
+#[derive(Default, Clone, Copy)]
+struct Cursors {
+    h2d: usize,
+    d2h: usize,
 }
 
 /// Is instant `t` inside any of the (start-sorted, disjoint) intervals?
@@ -199,8 +212,34 @@ fn covered(ivals: &[(f64, f64)], t: f64) -> bool {
     i > 0 && t < ivals[i - 1].1
 }
 
+/// [`covered`] for a non-decreasing sequence of queries: `cursor` is the
+/// number of intervals starting at or before the previous query, so the
+/// whole sequence costs one pass over `ivals`. One engine's copy starts
+/// never decrease in issue order (each starts no earlier than the
+/// engine's previous copy ends), so they form such a sequence.
+fn covered_from(ivals: &[(f64, f64)], cursor: &mut usize, t: f64) -> bool {
+    while *cursor < ivals.len() && ivals[*cursor].0 <= t {
+        *cursor += 1;
+    }
+    let hit = *cursor > 0 && t < ivals[*cursor - 1].1;
+    debug_assert_eq!(hit, covered(ivals, t), "query {t} out of order");
+    hit
+}
+
 impl Walk {
-    fn new(profile: &DeviceProfile, calib: &Calibration, live_streams: usize, lanes: usize) -> Self {
+    /// A walk at region start; `copies` sizes the per-direction interval
+    /// vectors (H2D, D2H).
+    fn new(
+        profile: &DeviceProfile,
+        calib: &Calibration,
+        live_streams: usize,
+        lanes: usize,
+        copies: (usize, usize),
+    ) -> Self {
+        let ivals = |(h2d, d2h): (usize, usize)| EngineIvals {
+            h2d: Vec::with_capacity(h2d),
+            d2h: Vec::with_capacity(d2h),
+        };
         Walk {
             api: profile.api_overhead.as_secs_f64() * calib.host,
             dispatch: profile
@@ -219,10 +258,39 @@ impl Walk {
             h2d: 0.0,
             d2h: 0.0,
             kernel: 0.0,
-            h2d_ivals: Vec::new(),
-            d2h_ivals: Vec::new(),
-            prev: None,
+            ivals: ivals(copies),
+            prev: ivals(copies),
+            has_prev: false,
+            cursor: Cursors::default(),
         }
+    }
+
+    /// Start the next fixed-point pass from region start, with this
+    /// pass's copy-engine schedule as the duplex oracle. Keeps every
+    /// buffer's capacity.
+    fn next_pass(&mut self) {
+        std::mem::swap(&mut self.ivals, &mut self.prev);
+        self.ivals.h2d.clear();
+        self.ivals.d2h.clear();
+        self.has_prev = true;
+        self.cursor = Cursors::default();
+        self.host = 0.0;
+        self.h2d_free = 0.0;
+        self.h2d_from = 0.0;
+        self.d2h_free = 0.0;
+        self.d2h_from = 0.0;
+        self.comp_free = 0.0;
+        self.stream_ready.fill(0.0);
+        self.chain.fill(0.0);
+        self.host_api = 0.0;
+        self.h2d = 0.0;
+        self.d2h = 0.0;
+        self.kernel = 0.0;
+    }
+
+    /// The latest stream completion so far.
+    fn makespan(&self) -> f64 {
+        self.stream_ready.iter().copied().fold(0.0, f64::max)
     }
 
     fn api_call(&mut self) {
@@ -251,22 +319,26 @@ impl Walk {
         // walked interval; later passes consult the previous pass's full
         // schedule, which also knows about opposite-engine work enqueued
         // *after* this command.
-        let opp_busy = match &self.prev {
-            Some(p) => covered(if h2d { &p.d2h } else { &p.h2d }, start),
-            None => opp_from <= start && start < opp_free,
-        } && self.duplex < 1.0;
+        let opp_busy = self.duplex < 1.0
+            && if !self.has_prev {
+                opp_from <= start && start < opp_free
+            } else if h2d {
+                covered_from(&self.prev.d2h, &mut self.cursor.h2d, start)
+            } else {
+                covered_from(&self.prev.h2d, &mut self.cursor.d2h, start)
+            };
         let d = self.dispatch + if opp_busy { dur / self.duplex } else { dur };
         let end = start + d;
         if h2d {
             self.h2d_from = start;
             self.h2d_free = end;
             self.h2d += d;
-            self.h2d_ivals.push((start, end));
+            self.ivals.h2d.push((start, end));
         } else {
             self.d2h_from = start;
             self.d2h_free = end;
             self.d2h += d;
-            self.d2h_ivals.push((start, end));
+            self.ivals.d2h.push((start, end));
         }
         self.stream_ready[s] = end;
         self.chain[s] += d;
@@ -311,8 +383,7 @@ impl Walk {
     /// the predicted makespan.
     fn sync_all(&mut self) -> f64 {
         self.api_call();
-        let done = self.stream_ready.iter().copied().fold(0.0, f64::max);
-        self.host = self.host.max(done);
+        self.host = self.host.max(self.makespan());
         self.host
     }
 
@@ -333,7 +404,7 @@ impl Walk {
             .unwrap_or(Bottleneck::Host)
     }
 
-    fn finish(mut self, model: ExecModel, chunk_size: usize, num_streams: usize) -> Prediction {
+    fn finish(&mut self, model: ExecModel, chunk_size: usize, num_streams: usize) -> Prediction {
         let total = self.sync_all();
         Prediction {
             model,
@@ -427,8 +498,9 @@ impl<'a> CostModel<'a> {
         (self.builder)(&ctx).cost
     }
 
-    fn kernel_secs(&self, k0: i64, k1: i64, inflate: f64) -> f64 {
-        let c = self.kernel_cost(k0, k1);
+    /// Kernel seconds for the chunk `ctx` describes (a probe context).
+    fn kernel_secs(&self, ctx: &ChunkCtx, inflate: f64) -> f64 {
+        let c = (self.builder)(ctx).cost;
         let flops = (c.flops as f64 * inflate) as u64;
         let bytes = (c.bytes as f64 * inflate) as u64;
         self.profile.kernel_time(flops, bytes).as_secs_f64() * self.calibration.kernel
@@ -493,52 +565,77 @@ impl<'a> CostModel<'a> {
     }
 
     /// The plan's commands in issue order, each on its stream lane with
-    /// its duration resolved — computed once per prediction, so the
-    /// fixed-point passes only rerun the recurrence.
-    fn tape(&self, cp: &CompiledPlan) -> Vec<(usize, Cmd)> {
+    /// its duration resolved, plus the tape's H2D and D2H copy counts —
+    /// computed once per prediction, so the fixed-point passes only rerun
+    /// the recurrence. Each distinct `(map, slices, direction)` copy is
+    /// timed once, and one probe context serves every chunk's kernel
+    /// cost.
+    fn tape(&self, cp: &CompiledPlan) -> (Vec<(usize, Cmd)>, (usize, usize)) {
         let infl = cp.kernel_inflation();
-        let mut tape = Vec::new();
+        let mut tape = Vec::with_capacity(cp.steps.len() * 4 + cp.waits.len() + cp.runs.len());
+        let mut dma: Vec<((usize, usize, bool), f64)> = Vec::new();
+        let mut copy_secs = |&(i, _, len): &SliceRun, h2d: bool| {
+            let key = (i, len, h2d);
+            match dma.iter().find(|(k, _)| *k == key) {
+                Some(&(_, secs)) => secs,
+                None => {
+                    let secs = self.dma_secs(i, len, h2d);
+                    dma.push((key, secs));
+                    secs
+                }
+            }
+        };
+        let mut ctx = ChunkCtx {
+            k0: 0,
+            k1: 0,
+            views: self.probe_views.clone(),
+        };
+        let mut copies = (0, 0);
         for (c, step) in cp.steps.iter().enumerate() {
-            let (k0, k1) = cp.plan.chunks[c];
             let s = step.stream;
-            let copy = |&(i, _, len): &SliceRun, h2d: bool| {
-                (s, Cmd::Copy(self.dma_secs(i, len, h2d), h2d))
-            };
             let wait = |&(ch, kind, _): &StageWait| (s, Cmd::Wait(ch, kind));
             tape.extend(cp.copy_waits(step).iter().map(wait));
-            tape.extend(cp.copy_runs(step).iter().map(|r| copy(r, true)));
+            for r in cp.copy_runs(step) {
+                tape.push((s, Cmd::Copy(copy_secs(r, true), true)));
+            }
+            copies.0 += cp.copy_runs(step).len();
             if cp.records(step, EvKind::H2d) {
                 tape.push((s, Cmd::Record(c, EvKind::H2d)));
             }
             tape.extend(cp.kernel_waits(step).iter().map(wait));
-            tape.push((s, Cmd::Launch(self.kernel_secs(k0, k1, infl))));
+            (ctx.k0, ctx.k1) = cp.plan.chunks[c];
+            tape.push((s, Cmd::Launch(self.kernel_secs(&ctx, infl))));
             if cp.records(step, EvKind::Kernel) {
                 tape.push((s, Cmd::Record(c, EvKind::Kernel)));
             }
-            tape.extend(cp.out_runs(step).iter().map(|r| copy(r, false)));
+            for r in cp.out_runs(step) {
+                tape.push((s, Cmd::Copy(copy_secs(r, false), false)));
+            }
+            copies.1 += cp.out_runs(step).len();
             if cp.records(step, EvKind::D2h) {
                 tape.push((s, Cmd::Record(c, EvKind::D2h)));
             }
         }
-        tape
+        (tape, copies)
     }
 
     /// Walk a compiled plan: run the recurrence over its tape to a fixed
-    /// point.
+    /// point. The tape, the engine intervals and the event table are
+    /// built once and reused by every pass.
     fn walk(&self, cp: &CompiledPlan) -> Prediction {
         let ns = cp.plan.num_streams;
         let created = cp.created_streams();
         let poll = cp.poll.as_secs_f64() * self.calibration.host;
-        let tape = self.tape(cp);
+        let (tape, copies) = self.tape(cp);
+        let mut w = Walk::new(&self.profile, &self.calibration, created + 1, ns, copies);
+        let mut events = vec![[0.0f64; 3]; cp.steps.len()];
 
-        let run_pass = |prev: Option<EngineIvals>| -> Walk {
-            let mut w = Walk::new(&self.profile, &self.calibration, created + 1, ns);
-            w.prev = prev;
+        let run_pass = |w: &mut Walk| {
             // One allocation per map, then the stream creations.
             for _ in 0..self.region.spec.maps.len() + created {
                 w.api_call();
             }
-            let mut events = vec![[0.0f64; 3]; cp.steps.len()];
+            events.fill([0.0; 3]);
             for &(s, cmd) in &tape {
                 match cmd {
                     Cmd::Wait(ch, kind) => w.wait(s, events[ch][kind as usize]),
@@ -553,9 +650,9 @@ impl<'a> CostModel<'a> {
                     w.stream_sync(s);
                 }
             }
-            w
         };
-        let mut pred = fixed_point(run_pass).finish(cp.model, cp.plan.chunk_size, ns);
+        fixed_point(&mut w, run_pass);
+        let mut pred = w.finish(cp.model, cp.plan.chunk_size, ns);
         if cp.sync_each {
             // A synchronous run ends without a device-wide synchronize
             // (its last stream_synchronize drained everything), so drop
@@ -588,21 +685,17 @@ enum Cmd {
 /// engine schedules for the duplex decision, and stopping early once the
 /// makespan estimate is stable to 0.1 %. Pass 1 only sees the opposite
 /// engine's walked past; later passes see the whole run.
-fn fixed_point(run_pass: impl Fn(Option<EngineIvals>) -> Walk) -> Walk {
-    let mut w = run_pass(None);
+fn fixed_point(w: &mut Walk, mut run_pass: impl FnMut(&mut Walk)) {
+    run_pass(w);
     for _ in 0..2 {
-        let before = w.stream_ready.iter().copied().fold(0.0, f64::max);
-        let sched = EngineIvals {
-            h2d: std::mem::take(&mut w.h2d_ivals),
-            d2h: std::mem::take(&mut w.d2h_ivals),
-        };
-        w = run_pass(Some(sched));
-        let after = w.stream_ready.iter().copied().fold(0.0, f64::max);
+        let before = w.makespan();
+        w.next_pass();
+        run_pass(w);
+        let after = w.makespan();
         if before > 0.0 && ((after - before) / before).abs() < 1e-3 {
             break;
         }
     }
-    w
 }
 
 /// O(1) schedule picker: evaluates every `(chunk, streams)` candidate of
@@ -989,6 +1082,38 @@ mod tests {
     }
 
     proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The monotone cursor answers every non-decreasing query like
+        /// the binary search, on interval sets with touching, empty and
+        /// repeated-start intervals (whole-unit gaps and lengths) and
+        /// queries on half units, so many land exactly on an edge.
+        #[test]
+        fn cursor_lookup_matches_binary_search(
+            shape in proptest::collection::vec((0u8..3, 0u8..4), 0..24),
+            steps in proptest::collection::vec(0u8..4, 0..48),
+        ) {
+            let mut ivals = Vec::new();
+            let mut t = 0.0;
+            for (gap, len) in shape {
+                let start = t + f64::from(gap);
+                t = start + f64::from(len);
+                ivals.push((start, t));
+            }
+            let mut cursor = 0;
+            let mut q = 0.0;
+            for step in steps {
+                q += 0.5 * f64::from(step);
+                proptest::prop_assert_eq!(
+                    covered_from(&ivals, &mut cursor, q),
+                    covered(&ivals, q),
+                    "query {} over {:?}", q, ivals
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// The cost model walks exactly the commands the executor issues:
@@ -1019,7 +1144,7 @@ mod tests {
                 );
                 let cp = compile_key(key).unwrap();
                 let (mut h2d, mut d2h, mut kernels) = (0u64, 0u64, 0u64);
-                for (_, cmd) in cm.tape(&cp) {
+                for (_, cmd) in cm.tape(&cp).0 {
                     match cmd {
                         Cmd::Copy(_, true) => h2d += 1,
                         Cmd::Copy(_, false) => d2h += 1,

@@ -39,12 +39,18 @@ impl SimTime {
     }
 
     /// Construct from (possibly fractional) seconds, rounding to the
-    /// nearest nanosecond. Negative or non-finite inputs clamp to zero.
+    /// nearest nanosecond (halves away from zero). Negative or non-finite
+    /// inputs clamp to zero; values past `u64::MAX` ns saturate.
+    ///
+    /// Bit-identical to `(secs * 1e9).round() as u64`, but without
+    /// `f64::round`, which is a libm call on baseline x86-64 (no
+    /// `roundsd`). Every simulated duration passes through here.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if !secs.is_finite() || secs <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((secs * 1e9).round() as u64)
+        SimTime(round_ns(secs * 1e9))
     }
 
     /// Nanoseconds since the epoch.
@@ -102,6 +108,20 @@ impl SimTime {
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// `ns.round() as u64` for `ns >= 0` (`+inf` included): rounds halves
+/// away from zero and saturates at `u64::MAX`.
+#[inline]
+fn round_ns(ns: f64) -> u64 {
+    // From 2^52 on every f64 is an integer, so there is nothing to round
+    // (and the saturating cast handles 2^64 and beyond).
+    if ns >= 4_503_599_627_370_496.0 {
+        return ns as u64;
+    }
+    // Below 2^52 the truncation and the fractional part are exact.
+    let whole = ns as u64;
+    whole + u64::from(ns - whole as f64 >= 0.5)
 }
 
 impl Add for SimTime {
@@ -182,6 +202,85 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(1.0).as_ns(), 1_000_000_000);
         assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(f64::NAN), SimTime::ZERO);
+    }
+
+    /// The libm formula `from_secs_f64` replaces, with its clamps.
+    fn rounded_by_libm(secs: f64) -> SimTime {
+        if !secs.is_finite() || secs <= 0.0 {
+            return SimTime::ZERO;
+        }
+        SimTime((secs * 1e9).round() as u64)
+    }
+
+    #[test]
+    fn rounding_matches_libm_round() {
+        use rand::{rngs::SmallRng, RngCore, SeedableRng};
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let two64 = 18_446_744_073_709_551_616.0f64;
+        // Nanosecond counts: exact halves, the largest f64 below one
+        // half (where `floor(x + 0.5)` would round up), the 2^52 and
+        // 2^53 integer thresholds, and the u64 saturation point.
+        let ns_edges = [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            two52 - 0.5,
+            two52 + 0.5,
+            two52 + 1.0,
+            two53,
+            two53 + 2.0,
+            two64,
+            two64 * 2.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for ns in ns_edges {
+            assert_eq!(round_ns(ns), ns.round() as u64, "{ns:e} ns");
+        }
+        let secs_edges = [
+            0.5e-9,
+            1.5e-9,
+            2.5e-9,
+            two64 / 1e9,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            0.0,
+            -0.0,
+            -2.5e-9,
+            -1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for secs in secs_edges.into_iter().chain(ns_edges.map(|ns| ns / 1e9)) {
+            assert_eq!(SimTime::from_secs_f64(secs), rounded_by_libm(secs), "{secs:e} s");
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5eed_7155);
+        for _ in 0..1_000_000 {
+            let bits = rng.next_u64();
+            // Half raw bit patterns (every sign, exponent, NaN and
+            // subnormal); half magnitudes from 1e-12 s to 1e12 s, every
+            // other one moved onto an exact half nanosecond.
+            let secs = if bits & 1 == 0 {
+                f64::from_bits(rng.next_u64())
+            } else {
+                let mantissa = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                let ns = mantissa * 10f64.powi(((bits >> 8) % 25) as i32);
+                let ns = if bits & 2 == 0 { ns.trunc() + 0.5 } else { ns };
+                if ns >= 0.0 {
+                    assert_eq!(round_ns(ns), ns.round() as u64, "{ns:e} ns");
+                }
+                ns / 1e9
+            };
+            assert_eq!(SimTime::from_secs_f64(secs), rounded_by_libm(secs), "{secs:e} s");
+        }
     }
 
     #[test]
